@@ -3,9 +3,9 @@
 Reference implementation of the hot inner loops: Stirling numbers of the
 first kind, Newton power sums, and the reduced binomial sums of the Chern
 roots.  Everything here works on plain Python ints (arbitrary precision,
-never floats), so results are exact at any input size.  The compiled
-backend in ``_kernels_c`` implements the same interface; ``kernels``
-selects between them at import time.
+never floats), so results are exact at any input size.  The library
+reaches these functions through ``kernels``.  The module imports nothing
+from the package, so it can be loaded on its own as a reference.
 
 All functions are pure and the only shared state is the memoized Stirling
 triangle, which is append-only and safe under the GIL.

@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles
-from .kernels import backend_name
 from .oracle import compare_exact_numeric
-from .sweep import BoxTooLarge, ResultRecord, SweepSpec, parse_bounds, run_sweep
+from .sweep import MAX_JOBS, BoxTooLarge, ResultRecord, SweepSpec, parse_bounds, run_sweep
 
 
 class UsageError(Exception):
@@ -62,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_sweep.add_argument("--max-tuples", type=int, default=None,
                          help="override the sweep size cap")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help=f"worker processes, 1 to {MAX_JOBS}")
 
     p_diag = sub.add_parser("diagnose", help="exact vs numeric values side by side")
     p_diag.add_argument("--classes", required=True)
@@ -123,7 +123,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(str(exc))
     total = spec.tuple_count()
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
-          f"jobs={spec.jobs}, kernel backend: {backend_name()}", file=sys.stderr)
+          f"jobs={spec.jobs}", file=sys.stderr)
     totals = {0: 0, 1: 0, 2: 0, None: 0}
 
     try:

@@ -1,44 +1,30 @@
-"""Kernel backend selection.
+"""The exact arithmetic kernels the library calls.
 
-Prefers the compiled extension when it is importable, otherwise falls back
-to the pure-Python reference kernels.  BUNDLE_CENSUS_BACKEND=c or =python
-forces a backend (``c`` raises if the extension was never built).  Both
-backends compute identical exact values; the choice only affects speed.
+Re-exports the bignum kernels of ``_kernels_py``.  Callers look the
+functions up as attributes of this module (``kernels.schwarz_terms``), so a
+profiler or test can wrap one in a single place.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernels_py import (
+    binomial_sum_num_den,
+    power_sums,
+    schwarz_terms,
+    stirling_first,
+    stirling_row,
+)
 
-_requested = os.environ.get("BUNDLE_CENSUS_BACKEND", "")
-if _requested not in ("", "c", "python"):
-    raise ValueError(
-        f"BUNDLE_CENSUS_BACKEND must be 'c' or 'python', got {_requested!r}"
-    )
-
-if _requested == "python":
-    from . import _kernels_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[no-redef]
-
-        BACKEND = "c"
-    except ImportError:
-        if _requested == "c":
-            raise
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
-
-stirling_first = _impl.stirling_first
-stirling_row = _impl.stirling_row
-power_sums = _impl.power_sums
-binomial_sum_num_den = _impl.binomial_sum_num_den
-schwarz_terms = _impl.schwarz_terms
+__all__ = [
+    "backend_name",
+    "binomial_sum_num_den",
+    "power_sums",
+    "schwarz_terms",
+    "stirling_first",
+    "stirling_row",
+]
 
 
 def backend_name() -> str:
-    """Name of the kernel backend selected at import: 'c' or 'python'."""
-    return BACKEND
+    """Name of the kernel implementation; always ``"python"``."""
+    return "python"

@@ -21,6 +21,9 @@ from .enumeration import count_bundles
 
 DEFAULT_MAX_TUPLES = 10_000_000
 MAX_TUPLES_ENV = "BUNDLE_CENSUS_MAX_TUPLES"
+# ceiling on --jobs: each worker is a whole interpreter, and a typo such as
+# 1000 must not start a thousand of them
+MAX_JOBS = 16
 _CHUNK = 512
 
 # largest integer JSON readers with double-precision parsers keep exact
@@ -53,8 +56,8 @@ class SweepSpec:
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {self.jobs}")
 
     def tuple_count(self) -> int:
         total = 1

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from bundle_census import cli
 from bundle_census.sweep import (
+    MAX_JOBS,
     BoxTooLarge,
     ResultRecord,
     SweepSpec,
@@ -129,6 +131,13 @@ class TestSweepCommand:
         assert proc.returncode == 2
         assert "cap" in proc.stderr
 
+    def test_too_many_jobs_rejected(self, capsys):
+        # in-process: the spec is refused before any worker could start
+        code = cli.main(["sweep", "--rank", "2", "--dim", "3",
+                         "--bounds", "0:1,0:1", "--jobs", str(MAX_JOBS + 1)])
+        assert code == 2
+        assert f"between 1 and {MAX_JOBS}" in capsys.readouterr().err
+
     def test_env_cap_override(self):
         proc = run_cli("sweep", "--rank", "2", "--dim", "3",
                        "--bounds", "-2:2,-2:2", "--format", "csv",
@@ -218,6 +227,13 @@ class TestSweepModule:
         assert parse_bounds("-1:2,0:0") == ((-1, 2), (0, 0))
         with pytest.raises(ValueError):
             parse_bounds("1-2")
+
+    def test_jobs_bounded(self):
+        assert MAX_JOBS == 16  # the limit the README states
+        SweepSpec(2, 3, ((0, 1), (0, 1)), jobs=MAX_JOBS)
+        for jobs in (0, MAX_JOBS + 1):
+            with pytest.raises(ValueError):
+                SweepSpec(2, 3, ((0, 1), (0, 1)), jobs=jobs)
 
     def test_wrong_interval_count(self):
         with pytest.raises(ValueError):

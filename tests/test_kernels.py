@@ -1,4 +1,4 @@
-"""Kernel-level tests: exactness, backend parity, oracle equivalence."""
+"""Kernel-level tests: exactness and oracle equivalence."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,28 +8,21 @@ from bundle_census import _kernels_py as kpy
 from bundle_census import kernels
 from oracles import binom_sum_brute, elem_sym_brute, falling_factorial, power_sum_brute
 
-try:
-    from bundle_census import _kernels_c as kc
-except ImportError:
-    kc = None
-
-backends = [pytest.param(kpy, id="python")]
-if kc is not None:
-    backends.append(pytest.param(kc, id="c"))
+# every case runs on _kernels_py; the single "python" id keeps the test
+# names the suite has always reported
+on_kernels = pytest.mark.parametrize("kern", [kpy], ids=["python"])
 
 
-def test_compiled_backend_is_active():
-    # the build is expected to produce the extension; a pure-python
-    # environment is legal but should be deliberate, not accidental
-    import os
-
-    if os.environ.get("BUNDLE_CENSUS_BACKEND") == "python":
-        assert kernels.backend_name() == "python"
-    elif kc is not None:
-        assert kernels.backend_name() == "c"
+def test_library_calls_the_reference_kernels():
+    # the cases below exercise _kernels_py; this pins that the library
+    # runs the very same functions
+    for name in ("schwarz_terms", "power_sums", "binomial_sum_num_den",
+                 "stirling_row", "stirling_first"):
+        assert getattr(kernels, name) is getattr(kpy, name), name
+    assert kernels.backend_name() == "python"
 
 
-@pytest.mark.parametrize("kern", backends)
+@on_kernels
 class TestStirling:
     def test_base_case(self, kern):
         assert kern.stirling_first(0, 0) == 1
@@ -76,7 +69,7 @@ class TestStirling:
         assert sum(want[k] * 3**k for k in range(61)) == falling_factorial(3, 60)
 
 
-@pytest.mark.parametrize("kern", backends)
+@on_kernels
 class TestPowerSums:
     def test_all_zero_roots(self, kern):
         assert kern.power_sums((0, 0, 0), 7) == [0] * 7
@@ -103,7 +96,7 @@ class TestPowerSums:
         assert got == [power_sum_brute(roots, k) for k in range(1, len(roots) + 3)]
 
 
-@pytest.mark.parametrize("kern", backends)
+@on_kernels
 class TestBinomialSum:
     def test_zero_roots(self, kern):
         assert kern.binomial_sum_num_den((0, 0, 0), 4) == (0, 1)
@@ -128,7 +121,7 @@ class TestBinomialSum:
         assert num == want
 
 
-@pytest.mark.parametrize("kern", backends)
+@on_kernels
 class TestSchwarzTerms:
     def test_covers_two_through_n(self, kern):
         terms = kern.schwarz_terms((1, 2, 3, 4), 4)
@@ -152,44 +145,3 @@ class TestSchwarzTerms:
             assert (num, den) == kern.binomial_sum_num_den(tuple(classes), r)
             assert den >= 1
 
-
-@pytest.mark.skipif(kc is None, reason="compiled kernels not built")
-class TestBackendParity:
-    """The compiled and pure backends must be observationally identical."""
-
-    @given(
-        classes=st.lists(
-            st.one_of(st.integers(-30, 30), st.integers(-(10**25), 10**25)),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=300)
-    def test_schwarz_terms(self, classes):
-        N = len(classes)
-        assert kc.schwarz_terms(tuple(classes), N) == kpy.schwarz_terms(tuple(classes), N)
-
-    @given(
-        classes=st.lists(
-            st.one_of(st.integers(-30, 30), st.integers(-(10**25), 10**25)),
-            min_size=1,
-            max_size=10,
-        ),
-        R=st.integers(1, 30),
-    )
-    @settings(max_examples=300)
-    def test_power_sums(self, classes, R):
-        assert kc.power_sums(tuple(classes), R) == kpy.power_sums(tuple(classes), R)
-
-    @given(r=st.integers(0, 40), k=st.integers(0, 40))
-    def test_stirling(self, r, k):
-        if k > r:
-            return
-        assert kc.stirling_first(r, k) == kpy.stirling_first(r, k)
-
-    def test_int64_boundary(self):
-        # values straddling the fast-path overflow threshold
-        near = 2**31 - 1
-        for coeffs in [(near, near), (near, -near, near), (2**62, 1), (1, 2**63)]:
-            for r in (2, 3, 4):
-                assert kc.binomial_sum_num_den(coeffs, r) == kpy.binomial_sum_num_den(coeffs, r)
