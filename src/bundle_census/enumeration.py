@@ -5,8 +5,9 @@ rank-N bundle on CP^N exactly when every binomial sum B_r of their Chern
 roots, 2 <= r <= N, is an integer (the Schwarzenberger condition S_N); a
 rank-n bundle on CP^(n+1) exists for (c_1, ..., c_n) exactly when
 (c_1, ..., c_n, 0) satisfies S_(n+1).  On top of the existence predicate,
-``count_bundles`` resolves the number of isomorphism classes in the three
-regimes where the answer is known in full:
+``counting_rule`` holds the number of isomorphism classes in the three
+regimes where the answer is known in full, for ``count_bundles`` and the
+sweep alike:
 
 * rank 1: a unique line bundle for every first Chern class;
 * rank >= dim (stable range): a unique bundle when S_rank holds, else none;
@@ -107,33 +108,59 @@ def exists_rank_n_on_cp_n_plus_1(v: ChernVector) -> SchwarzenbergerReport:
     return check_schwarzenberger(v.classes + (0,), v.rank + 1)
 
 
+@dataclass(frozen=True)
+class CountingRule:
+    """How the number of isomorphism classes follows from the classes.
+
+    ``order`` is the N of the condition S_N that decides existence, tested
+    on the classes zero-extended to length N; it is None when no condition
+    is tested.  ``splits`` is set when an even c_1 gives two classes.
+    """
+
+    regime: str
+    order: Optional[int]
+    splits: bool = False
+
+    def count(self, satisfied, c1):
+        """The count, given the S_N verdict and c_1.
+
+        Works alike on one tuple (a bool and an int) and elementwise on
+        numpy arrays of verdicts and first classes.  None when the regime
+        is unsupported; pass ``satisfied=True`` when ``order`` is None.
+        """
+        if self.regime == UNSUPPORTED:
+            return None
+        return satisfied * (1 + (self.splits & (c1 % 2 == 0)))
+
+
+def counting_rule(rank: int, dim: int) -> CountingRule:
+    """The counting rule for rank-``rank`` bundles on CP^``dim``.
+
+    The one place that knows the regimes: ``count_bundles`` and the sweep
+    both classify through it.
+    """
+    if rank == 1:
+        # every integer is the first Chern class of exactly one line bundle
+        return CountingRule(LINE_BUNDLE, order=None)
+    if rank >= dim:
+        return CountingRule(STABLE_RANGE, order=rank)
+    if dim == rank + 1:
+        # two classes exactly when rank and c_1 are both even
+        return CountingRule(CORANK_ONE, order=rank + 1, splits=rank % 2 == 0)
+    return CountingRule(UNSUPPORTED, order=None)
+
+
 def count_bundles(v: ChernVector) -> BundleCount:
     """Count isomorphism classes of rank-``v.rank`` bundles on CP^``v.dim``."""
-    if v.rank == 1:
-        # every integer is the first Chern class of exactly one line bundle
-        return BundleCount(count=1, regime=LINE_BUNDLE)
-    if v.rank >= v.dim:
-        report = check_schwarzenberger(v.padded(v.rank), v.rank)
-        return BundleCount(
-            count=1 if report.satisfied else 0,
-            regime=STABLE_RANGE,
-            report=report,
-        )
-    if v.dim == v.rank + 1:
-        report = exists_rank_n_on_cp_n_plus_1(v)
-        if not report.satisfied:
-            return BundleCount(count=0, regime=CORANK_ONE, report=report)
-        if v.rank % 2 == 1 or v.classes[0] % 2 == 1:
-            return BundleCount(count=1, regime=CORANK_ONE, report=report)
-        return BundleCount(
-            count=2,
-            regime=CORANK_ONE,
-            extension_note=(
-                f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
-            ),
-            report=report,
-        )
-    return BundleCount(count=None, regime=UNSUPPORTED)
+    rule = counting_rule(v.rank, v.dim)
+    report = None
+    if rule.order is not None:
+        report = check_schwarzenberger(v.padded(rule.order), rule.order)
+    count = rule.count(report is None or report.satisfied, v.classes[0])
+    note = None
+    if count == 2:
+        note = f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
+    return BundleCount(count=count, regime=rule.regime, extension_note=note, report=report)
 
 
 def reduce_stable(classes: Sequence[int], rank: int, dim: int) -> bool:

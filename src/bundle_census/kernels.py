@@ -1,11 +1,17 @@
 """The exact arithmetic kernels the library calls.
 
-Re-exports the bignum kernels of ``_kernels_py``.  Callers look the
+Re-exports the bignum kernels of ``_kernels_py`` and adds the int64 batch
+kernel that sweeps run on whole chunks of tuples.  Callers look the
 functions up as attributes of this module (``kernels.schwarz_terms``), so a
 profiler or test can wrap one in a single place.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from math import factorial
+
+import numpy as np
 
 from ._kernels_py import (
     binomial_sum_num_den,
@@ -16,15 +22,93 @@ from ._kernels_py import (
 )
 
 __all__ = [
+    "INT64_LIMIT",
     "backend_name",
     "binomial_sum_num_den",
+    "int64_certified",
     "power_sums",
     "schwarz_terms",
+    "schwarz_terms_batch",
     "stirling_first",
     "stirling_row",
 ]
+
+INT64_LIMIT = 2**62
 
 
 def backend_name() -> str:
     """Name of the kernel implementation; always ``"python"``."""
     return "python"
+
+
+def int64_certified(order: int, max_abs: int) -> bool:
+    """Whether ``schwarz_terms_batch`` is exact for S_order on these classes.
+
+    ``max_abs`` bounds |c_i| over every tuple of the batch.  The batch
+    kernel's int64 arithmetic cannot overflow when, with R = 1 + max_abs,
+
+        order * R(R+1)...(R+order-1) < 2^62.
+
+    Proof.  The classes are the elementary symmetric functions of the
+    Chern roots d_j, the roots of y^n - c_1 y^(n-1) + c_2 y^(n-2) - ...,
+    so Cauchy's bound gives |d_j| <= R, hence |p_k| <= n R^k for the power
+    sums (n = order).  Newton's identity forms p_k as a signed sum of the
+    terms c_i p_(k-i) (i < k) and k c_k, whose absolute values add up to
+    at most n(R-1)(R^(k-1) + ... + R) + k(R-1) <= n R^k; so every partial
+    sum and product of the recurrence is at most n R^k <= n R^order.  The
+    numerator of B_r is sum_k s(r,k) p_k, whose terms add up in absolute
+    value to at most n * sum_k |s(r,k)| R^k = n R(R+1)...(R+r-1), the
+    unsigned Stirling numbers being the coefficients of the rising
+    factorial; that bounds every partial sum, and it grows with r, so
+    r = order bounds them all.  Each |s(r,k)| and the denominator r! are
+    at most r! <= R(R+1)...(R+r-1).  Every value the kernel forms thus
+    stays below the certificate, and 2^62 leaves a factor of two to the
+    int64 range.
+    """
+    bound = order
+    for i in range(order):
+        bound *= 1 + max_abs + i
+        if bound >= INT64_LIMIT:
+            return False
+    return True
+
+
+@cache
+def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order
+    stirling = np.zeros((max(order - 1, 0), order), dtype=np.int64)
+    for r in range(2, order + 1):
+        stirling[r - 2, :r] = stirling_row(r)[1:]
+    factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=np.int64).reshape(-1, 1)
+    stirling.flags.writeable = factorials.flags.writeable = False
+    return stirling, factorials
+
+
+def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced B_r, 2 <= r <= N, for every row of a ``(T, N)`` int64 array.
+
+    Returns ``(num, den)``, each ``(T, N-1)`` int64 with column r-2 holding
+    B_r in lowest terms, den >= 1: row for row what ``schwarz_terms``
+    returns.  The batch must satisfy ``int64_certified``, checked once here
+    before any arithmetic; no operation is checked afterwards.
+    """
+    T, order = classes.shape
+    max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
+    if not int64_certified(order, max_abs):
+        raise ValueError(f"S_{order} with |c_i| up to {max_abs} is not int64-certified")
+    c = np.ascontiguousarray(classes.T, dtype=np.int64)
+    # Newton's identities, one row of power sums at a time
+    p = np.empty_like(c)
+    for k in range(1, order + 1):
+        acc = c[k - 1] * (k if k % 2 else -k)
+        for i in range(1, k):
+            term = c[i - 1] * p[k - i - 1]
+            if i % 2:
+                acc += term
+            else:
+                acc -= term
+        p[k - 1] = acc
+    stirling, factorials = _weights(order)
+    num = stirling @ p
+    g = np.gcd(num, factorials)
+    return (num // g).T, (factorials // g).T

@@ -1,30 +1,47 @@
 """Exhaustive sweeps over boxes of Chern classes.
 
 Enumerates every integer tuple in a product of intervals in lexicographic
-order, classifies each through the counting engine, and streams one record
-per tuple.  Evaluation may fan out over a process pool; records are always
-emitted in input order, so output is deterministic and independent of the
-worker count.
+order and classifies each by the counting rule.  The bulk path,
+``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
+CHUNK tuples.  Each range is decoded into a column array of classes, run
+through the int64 batch kernel when its overflow certificate holds (else
+through the bignum kernel, one tuple at a time) and rendered straight to
+the bytes of its records.  Ranges may be evaluated in a process pool; they
+are always yielded in index order, so output is deterministic and
+independent of the worker count.  ``evaluate_classes`` and ``run_sweep``
+are the single-tuple path.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import operator
 import os
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
+import numpy as np
+
+from . import kernels
 from .chern import ChernVector
-from .enumeration import count_bundles
+from .enumeration import count_bundles, counting_rule
 
 DEFAULT_MAX_TUPLES = 10_000_000
 MAX_TUPLES_ENV = "BUNDLE_CENSUS_MAX_TUPLES"
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
-_CHUNK = 512
+# tuples per chunk: small, so the first records reach stdout at once and a
+# worker's result is tens of kB
+CHUNK = 256
+# chunks submitted to the pool and not yet written, per worker
+WINDOW = 4
+FORMATS = ("json", "csv", "table")
+# linear indices below this fit int64 with room for the decoding arithmetic
+_INT64_INDEX = 2**62
 
 # largest integer JSON readers with double-precision parsers keep exact
 _SAFE_JSON_INT = 2**53 - 1
@@ -131,27 +148,12 @@ def evaluate_classes(rank: int, dim: int, classes: tuple[int, ...]) -> ResultRec
     )
 
 
-def _evaluate_chunk(args) -> list[ResultRecord]:
-    rank, dim, chunk = args
-    return [evaluate_classes(rank, dim, classes) for classes in chunk]
-
-
 def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
     """All tuples of the box in lexicographic order."""
     return itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
 
 
-def _chunked(seq: Iterable, size: int) -> Iterator[list]:
-    it = iter(seq)
-    while chunk := list(itertools.islice(it, size)):
-        yield chunk
-
-
-def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
-    """Stream records for every tuple in the box, in input order.
-
-    Raises BoxTooLarge before doing any work if the box exceeds the cap.
-    """
+def _check_cap(spec: SweepSpec) -> int:
     total = spec.tuple_count()
     cap = spec.cap()
     if total > cap:
@@ -159,15 +161,202 @@ def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
             f"box holds {total} tuples, above the cap of {cap}; "
             f"raise --max-tuples or {MAX_TUPLES_ENV} to proceed"
         )
-    boxes = iter_box(spec.bounds)
+    return total
+
+
+def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
+    """Records for every tuple in the box, in input order, one at a time.
+
+    The single-tuple path: ``evaluate_classes`` on each tuple, in this
+    process whatever ``spec.jobs`` says; the reference that tests hold
+    ``sweep_chunks``, the bulk path, to.  Raises BoxTooLarge before doing
+    any work if the box exceeds the cap.
+    """
+    _check_cap(spec)
+    for classes in iter_box(spec.bounds):
+        yield evaluate_classes(spec.rank, spec.dim, classes)
+
+
+class Chunk(NamedTuple):
+    """The rendered records of one index range of the box."""
+
+    data: bytes
+    counts: Counter  # tuples per count: keys 0, 1, 2 and None (unknown)
+
+
+def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
+    """Every record of the box rendered in ``fmt``, one chunk at a time.
+
+    The box's linear index is cut into ranges of CHUNK tuples, evaluated
+    in this process or, with ``spec.jobs`` > 1, in a pool of workers, and
+    yielded in index order, so the bytes do not depend on the worker
+    count.  Raises BoxTooLarge before doing any work if the box exceeds
+    the cap.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    total = _check_cap(spec)
+    tasks = ((spec, fmt, start, min(start + CHUNK, total)) for start in range(0, total, CHUNK))
     if spec.jobs == 1:
-        for classes in boxes:
-            yield evaluate_classes(spec.rank, spec.dim, classes)
+        for task in tasks:
+            yield render_chunk(*task)
         return
-    tasks = ((spec.rank, spec.dim, chunk) for chunk in _chunked(boxes, _CHUNK))
     with multiprocessing.Pool(spec.jobs) as pool:
-        for records in pool.imap(_evaluate_chunk, tasks):
-            yield from records
+        yield from in_order(pool, render_chunk, tasks, WINDOW * spec.jobs)
+
+
+def in_order(pool, fn, tasks: Iterable[tuple], window: int) -> Iterator:
+    """``fn(*task)`` for every task, run on ``pool``, yielded in task order.
+
+    At most ``window`` tasks are submitted and not yet yielded, so a slow
+    consumer holds back submission instead of letting results pile up.
+    """
+    pending: deque = deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield pending.popleft().get()
+        pending.append(pool.apply_async(fn, task))
+    while pending:
+        yield pending.popleft().get()
+
+
+def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
+    """Records of the tuples with linear index in [start, stop), as bytes."""
+    rule = counting_rule(spec.rank, spec.dim)
+    extent = _extent(spec.bounds, start, stop)
+    if stop <= _INT64_INDEX and extent < kernels.INT64_LIMIT and (
+        rule.order is None or kernels.int64_certified(rule.order, extent)
+    ):
+        columns, counts, failing = _classify_int64(spec.bounds, rule, start, stop)
+    else:
+        columns, counts, failing = _classify_bignum(spec.bounds, rule, start, stop)
+    text = _RENDER[fmt](columns, counts, failing, rule.regime, extent <= _SAFE_JSON_INT)
+    return Chunk(text.encode(), Counter(counts))
+
+
+def _extent(bounds, start: int, stop: int) -> int:
+    """Largest |c_i| over the tuples with linear index in [start, stop)."""
+    extent = 0
+    weight = 1  # tuples per step of the current coordinate
+    for lo, hi in reversed(bounds):
+        radix = hi - lo + 1
+        first, last = start // weight, (stop - 1) // weight
+        if last - first + 1 >= radix:
+            ends = (lo, hi)
+        elif first // radix == last // radix:
+            ends = (lo + first % radix, lo + last % radix)
+        else:  # the digit wraps from hi round to lo
+            ends = (lo + first % radix, hi, lo, lo + last % radix)
+        extent = max(extent, *map(abs, ends))
+        weight *= radix
+    return extent
+
+
+# The classifiers return (columns, counts, failing) for a range of the box:
+# one list of ints per class, the count of each tuple, and the failing B_r
+# as (r, "num/den") pairs keyed by the tuple's position in the range.
+
+def _classify_int64(bounds, rule, start, stop):
+    # every class and index of the range fits int64; a radix beyond the
+    # largest index decodes like any other, so it is clipped
+    index = np.arange(start, stop, dtype=np.int64)
+    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=np.int64)
+    for j in range(len(bounds) - 1, -1, -1):
+        lo, hi = bounds[j]
+        index, digit = np.divmod(index, min(hi - lo + 1, _INT64_INDEX))
+        classes[:, j] = digit + lo
+    failing = {}
+    satisfied = True
+    if rule.order is not None:
+        num, den = kernels.schwarz_terms_batch(classes)
+        satisfied = (den == 1).all(axis=1)
+        bad = np.flatnonzero(~satisfied)
+        for i, nums, dens in zip(bad.tolist(), num[bad].tolist(), den[bad].tolist()):
+            failing[i] = [(r, f"{n}/{d}") for r, n, d in zip(itertools.count(2), nums, dens) if d != 1]
+    counts = rule.count(satisfied, classes[:, 0])
+    counts = [None] * len(classes) if counts is None else counts.tolist()
+    return classes[:, : len(bounds)].T.tolist(), counts, failing
+
+
+def _classify_bignum(bounds, rule, start, stop):
+    radices = [hi - lo + 1 for lo, hi in bounds]
+    rows, counts, failing = [], [], {}
+    for i, index in enumerate(range(start, stop)):
+        row = []
+        for (lo, _), radix in zip(reversed(bounds), reversed(radices)):
+            index, digit = divmod(index, radix)
+            row.append(lo + digit)
+        row.reverse()
+        satisfied = True
+        if rule.order is not None:
+            padded = tuple(row) + (0,) * (rule.order - len(row))
+            terms = kernels.schwarz_terms(padded, rule.order)
+            fails = [(r, f"{num}/{den}") for r, num, den in terms if den != 1]
+            if fails:
+                failing[i] = fails
+                satisfied = False
+        rows.append(row)
+        counts.append(rule.count(satisfied, row[0]))
+    return [list(col) for col in zip(*rows)], counts, failing
+
+
+def _render_json(columns, counts, failing, regime, small):
+    to_text = str if small else _json_class
+    classes = map(",".join, zip(*(map(to_text, col) for col in columns)))
+    fails = [""] * len(counts)
+    for i, terms in failing.items():
+        fails[i] = ",".join(f'{{"r":{r},"value":"{v}"}}' for r, v in terms)
+    mid = {c: f',"count":{"null" if c is None else c},"regime":"{regime}","failing_r":['
+           for c in set(counts)}
+    end = {c: f'],"extension":{"true" if c == 2 else "false"}}}\n' for c in set(counts)}
+    return "".join([f'{{"classes":[{text}]{mid[c]}{f}{end[c]}'
+                    for text, c, f in zip(classes, counts, fails)])
+
+
+def _json_class(c: int) -> str:
+    return json.dumps(_json_int(c))
+
+
+def _render_csv(columns, counts, failing, regime, small):
+    classes = map(";".join, zip(*(map(str, col) for col in columns)))
+    fails = _plain_failing(len(counts), failing)
+    mid = {c: f",{'unknown' if c is None else c},{regime}," for c in set(counts)}
+    end = {c: f",{'true' if c == 2 else 'false'}\n" for c in set(counts)}
+    return "".join([f"{text}{mid[c]}{f}{end[c]}" for text, c, f in zip(classes, counts, fails)])
+
+
+def _render_table(columns, counts, failing, regime, small):
+    width = table_width(len(columns))
+    fails = _plain_failing(len(counts), failing)
+    return "".join([
+        f"{str(row):<{width}} {'unknown' if c is None else c:>7} {regime:<13} "
+        f"{f:<20} {'yes' if c == 2 else 'no'}\n"
+        for row, c, f in zip(zip(*columns), counts, fails)
+    ])
+
+
+def _plain_failing(n: int, failing) -> list[str]:
+    fails = [""] * n
+    for i, terms in failing.items():
+        fails[i] = ";".join(f"{r}={v}" for r, v in terms)
+    return fails
+
+
+_RENDER = {"json": _render_json, "csv": _render_csv, "table": _render_table}
+
+
+def table_width(n_classes: int) -> int:
+    """Width of the classes column of ``--format table``."""
+    return max(20, 9 * n_classes)
+
+
+def header(fmt: str, n_classes: int) -> str:
+    """The line a sweep's output opens with, before the records."""
+    if fmt == "csv":
+        return "classes,count,regime,failing_r,extension\n"
+    if fmt == "table":
+        return f"{'classes':<{table_width(n_classes)}} {'count':>7} {'regime':<13} {'failing':<20} ext\n"
+    return ""
 
 
 def parse_bounds(text: str) -> tuple[tuple[int, int], ...]:

@@ -13,8 +13,9 @@ from bundle_census.sweep import (
     ResultRecord,
     SweepSpec,
     evaluate_classes,
+    in_order,
     parse_bounds,
-    run_sweep,
+    sweep_chunks,
 )
 
 
@@ -170,6 +171,31 @@ class TestSweepCommand:
         assert single.returncode == multi.returncode == 0
         assert single.stdout == multi.stdout
 
+    def test_table_shape(self):
+        proc = run_cli("sweep", "--rank", "2", "--dim", "3",
+                       "--bounds", "0:1,1:1", "--format", "table")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [
+            "classes                count regime        failing              ext",
+            "(0, 1)                     2 corank_one                         yes",
+            "(1, 1)                     0 corank_one    3=1/2                no",
+            "total=2 count_0=1 count_1=0 count_2=1 unknown=0",
+        ]
+
+    def test_reader_closing_early_exits_cleanly(self):
+        # enough output to fill the pipe, so writes fail once the reader is gone
+        for jobs in ("1", "2"):
+            with subprocess.Popen(
+                [sys.executable, "-m", "bundle_census", "sweep", "--rank", "2", "--dim", "3",
+                 "--bounds=-100:100,-100:100", "--format", "json", "--jobs", jobs],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ) as proc:
+                assert proc.stdout.readline().startswith(b'{"classes":[-100,-100]')
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=120) == 0
+            assert b"Traceback" not in err and b"Exception" not in err, err
+
     def test_stable_range_sweep(self):
         proc = run_cli("sweep", "--rank", "3", "--dim", "2",
                        "--bounds", "0:1,0:1", "--format", "json")
@@ -221,7 +247,7 @@ class TestSweepModule:
     def test_box_too_large(self):
         spec = SweepSpec(2, 3, ((-2, 2), (-2, 2)), max_tuples=3)
         with pytest.raises(BoxTooLarge):
-            list(run_sweep(spec))
+            list(sweep_chunks(spec, "json"))
 
     def test_parse_bounds(self):
         assert parse_bounds("-1:2,0:0") == ((-1, 2), (0, 0))
@@ -242,4 +268,37 @@ class TestSweepModule:
     def test_parallel_matches_serial(self):
         spec1 = SweepSpec(2, 3, ((-2, 2), (-2, 2)), jobs=1)
         spec4 = SweepSpec(2, 3, ((-2, 2), (-2, 2)), jobs=4)
-        assert list(run_sweep(spec1)) == list(run_sweep(spec4))
+        assert list(sweep_chunks(spec1, "json")) == list(sweep_chunks(spec4, "json"))
+
+    def test_in_order_bounds_tasks_in_flight(self):
+        pool = StubPool()
+        results = in_order(pool, lambda x: 10 * x, ((i,) for i in range(50)), window=6)
+        got = []
+        for value in results:
+            got.append(value)
+            # the consumer is as slow as it likes: nothing more is submitted
+            assert pool.outstanding <= 6
+        assert got == [10 * i for i in range(50)]
+        assert pool.most_outstanding == 6
+        assert pool.outstanding == 0
+
+
+class StubPool:
+    """Runs tasks inline, counting those submitted and not yet collected."""
+
+    def __init__(self):
+        self.outstanding = self.most_outstanding = 0
+
+    def apply_async(self, fn, args):
+        self.outstanding += 1
+        self.most_outstanding = max(self.most_outstanding, self.outstanding)
+        return StubResult(self, fn(*args))
+
+
+class StubResult:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def get(self):
+        self.pool.outstanding -= 1
+        return self.value

@@ -1,11 +1,15 @@
 """Kernel-level tests: exactness and oracle equivalence."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_census import _kernels_py as kpy
 from bundle_census import kernels
+from bundle_census.sweep import SweepSpec, render_chunk
 from oracles import binom_sum_brute, elem_sym_brute, falling_factorial, power_sum_brute
 
 # every case runs on _kernels_py; the single "python" id keeps the test
@@ -145,3 +149,121 @@ class TestSchwarzTerms:
             assert (num, den) == kern.binomial_sum_num_den(tuple(classes), r)
             assert den >= 1
 
+
+
+def certified_edge(order):
+    """Largest max|c_i| that int64_certified admits for S_order."""
+    lo, hi = 0, kernels.INT64_LIMIT
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if kernels.int64_certified(order, mid) else (lo, mid)
+    return lo
+
+
+# every order the certificate admits at all: N * N! < 2^62 up to N = 19
+ORDERS = range(2, 20)
+
+
+def assert_batch_matches_reference(rows):
+    classes = np.array(rows, dtype=np.int64)
+    num, den = kernels.schwarz_terms_batch(classes)
+    order = classes.shape[1]
+    assert num.shape == den.shape == (len(rows), order - 1)
+    for row, nums, dens in zip(rows, num.tolist(), den.tolist()):
+        got = [(r, n, d) for r, n, d in zip(range(2, order + 1), nums, dens)]
+        assert got == kpy.schwarz_terms(tuple(row), order), row
+
+
+class TestBatchKernel:
+    def test_certificate_is_the_stated_bound(self):
+        for order in ORDERS:
+            m = certified_edge(order)
+            for max_abs, safe in ((m, True), (m + 1, False)):
+                R = 1 + max_abs
+                assert (order * math.prod(range(R, R + order)) < 2**62) == safe
+        assert certified_edge(19) == 0
+        assert not kernels.int64_certified(20, 0)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_edges_match_reference(self, order):
+        m = certified_edge(order)
+        rows = [[0] * order, [m] * order, [-m] * order,
+                [m if k % 2 else -m for k in range(order)],
+                [-m if k % 2 else m for k in range(order)],
+                [m] + [0] * (order - 1), [0] * (order - 1) + [-m],
+                [(k % 3 - 1) * m for k in range(order)]]
+        assert_batch_matches_reference(rows)
+
+    @given(data=st.data(), order=st.sampled_from(ORDERS), count=st.integers(1, 12))
+    @settings(max_examples=300)
+    def test_random_rows_match_reference(self, data, order, count):
+        m = certified_edge(order)
+        # half the draws hug the edge, where the partial sums come closest to 2^62
+        edges = [v for v in (-m, -m + 1, 0, m - 1, m) if abs(v) <= m]
+        entry = st.one_of(st.integers(-m, m), st.sampled_from(edges))
+        rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
+                                  min_size=count, max_size=count))
+        assert_batch_matches_reference(rows)
+
+    def test_refuses_an_uncertified_batch(self):
+        for order in (2, 3, 7):
+            m = certified_edge(order)
+            assert_batch_matches_reference([[m] * order, [-m] * order])
+            for bad in (m + 1, -(m + 1)):
+                with pytest.raises(ValueError):
+                    kernels.schwarz_terms_batch(np.array([[0] * (order - 1) + [bad]], dtype=np.int64))
+        with pytest.raises(ValueError):
+            kernels.schwarz_terms_batch(np.zeros((1, 20), dtype=np.int64))
+
+    def test_empty_batch(self):
+        num, den = kernels.schwarz_terms_batch(np.zeros((0, 4), dtype=np.int64))
+        assert num.shape == den.shape == (0, 3)
+
+
+class TestChunkPath:
+    """The certificate decides, chunk by chunk, which kernel a sweep runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"batch": 0, "bignum": 0}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(kernels, "schwarz_terms_batch", spy("batch", kernels.schwarz_terms_batch))
+        monkeypatch.setattr(kernels, "schwarz_terms", spy("bignum", kernels.schwarz_terms))
+        return seen
+
+    def chunk(self, c1_lo, c1_hi):
+        # rank 2 on CP^3 tests S_3 on (c1, c2, 0)
+        spec = SweepSpec(2, 3, ((c1_lo, c1_hi), (-2, 2)))
+        return render_chunk(spec, "json", 0, spec.tuple_count())
+
+    def test_just_below_runs_int64(self, calls):
+        m = certified_edge(3)
+        self.chunk(m - 3, m)
+        assert calls == {"batch": 1, "bignum": 0}
+
+    def test_just_above_runs_bignum(self, calls):
+        m = certified_edge(3)
+        self.chunk(m - 3, m + 1)  # one class past the edge sends all 25 tuples
+        assert calls == {"batch": 0, "bignum": 25}
+        self.chunk(-m - 1, -m)
+        assert calls == {"batch": 0, "bignum": 35}
+
+    def test_certificate_function_decides(self, calls, monkeypatch):
+        m = certified_edge(3)
+        below = self.chunk(m - 3, m)
+        asked = []
+
+        def refuse(order, max_abs):
+            asked.append((order, max_abs))
+            return False
+
+        monkeypatch.setattr(kernels, "int64_certified", refuse)
+        assert self.chunk(m - 3, m) == below
+        assert asked == [(3, m)]
+        assert calls == {"batch": 1, "bignum": 20}
