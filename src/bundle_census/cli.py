@@ -2,7 +2,9 @@
 
 Machine-readable output goes to stdout (JSON lines or CSV for sweeps),
 diagnostics to stderr.  Exit codes: 0 success / condition satisfied,
-1 condition failed or exact-numeric disagreement, 2 usage error.
+1 condition failed, exact-numeric disagreement or a sweep worker lane that
+died before its last chunk (one ``error:`` line, no traceback), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import closing
 from typing import Optional, Sequence
 
 from . import __version__
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles
 from .oracle import compare_exact_numeric
-from .sweep import FORMATS, MAX_JOBS, BoxTooLarge, SweepSpec, header, parse_bounds, sweep_chunks
+from .sweep import (FORMATS, MAX_JOBS, BoxTooLarge, LaneDied, SweepSpec, header, parse_bounds,
+                    sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-tuples", type=int, default=None,
                          help="override the sweep size cap")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help=f"worker processes, 1 to {MAX_JOBS}")
+                         help=f"lanes, 1 to {MAX_JOBS}: this process and N-1 worker processes")
 
     p_diag = sub.add_parser("diagnose", help="exact vs numeric values side by side")
     p_diag.add_argument("--classes", required=True)
@@ -129,9 +133,11 @@ def cmd_sweep(args) -> int:
     totals = Counter()
     try:
         out.write(header(args.format, len(bounds)).encode())
-        for chunk in sweep_chunks(spec, args.format):
-            out.write(chunk.data)
-            totals.update(chunk.counts)
+        # closing: a failed write stops the worker lanes at once
+        with closing(sweep_chunks(spec, args.format)) as chunks:
+            for chunk in chunks:
+                out.write(chunk.data)
+                totals.update(chunk.counts)
     except BoxTooLarge as exc:
         raise UsageError(str(exc))
     if args.format == "json":
@@ -235,6 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LaneDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # downstream closed (e.g. piped into head); silence the flush at exit
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -6,10 +6,12 @@ order and classifies each by the counting rule.  The bulk path,
 CHUNK tuples.  Each range is decoded into a column array of classes, run
 through the int64 batch kernel when its overflow certificate holds (else
 through the bignum kernel, one tuple at a time) and rendered straight to
-the bytes of its records.  Ranges may be evaluated in a process pool; they
-are always yielded in index order, so output is deterministic and
-independent of the worker count.  ``evaluate_classes`` and ``run_sweep``
-are the single-tuple path.
+the bytes of its records.  With more than one job the ranges are dealt
+round-robin to lanes: the calling process renders its own share and each
+worker lane streams its finished bytes down one pipe.  Ranges are always
+yielded in index order, so output is deterministic and independent of the
+worker count.  ``evaluate_classes`` and ``run_sweep`` are the single-tuple
+path.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import json
 import multiprocessing
 import operator
 import os
-from collections import Counter, deque
+import struct
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +40,6 @@ MAX_JOBS = 16
 # tuples per chunk: small, so the first records reach stdout at once and a
 # worker's result is tens of kB
 CHUNK = 256
-# chunks submitted to the pool and not yet written, per worker
-WINDOW = 4
 FORMATS = ("json", "csv", "table")
 # linear indices below this fit int64 with room for the decoding arithmetic
 _INT64_INDEX = 2**62
@@ -49,6 +50,10 @@ _SAFE_JSON_INT = 2**53 - 1
 
 class BoxTooLarge(ValueError):
     """Sweep box exceeds the tuple cap and no override was given."""
+
+
+class LaneDied(RuntimeError):
+    """A worker lane closed its pipe before sending its last chunk."""
 
 
 @dataclass(frozen=True)
@@ -188,10 +193,10 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """Every record of the box rendered in ``fmt``, one chunk at a time.
 
     The box's linear index is cut into ranges of CHUNK tuples, evaluated
-    in this process or, with ``spec.jobs`` > 1, in a pool of workers, and
-    yielded in index order, so the bytes do not depend on the worker
-    count.  Raises BoxTooLarge before doing any work if the box exceeds
-    the cap.
+    in this process or, with ``spec.jobs`` > 1, split across lanes (see
+    ``_lanes``), and yielded in index order, so the bytes do not depend on
+    the worker count.  Raises BoxTooLarge before doing any work if the box
+    exceeds the cap, and LaneDied if a worker lane stops early.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -201,23 +206,69 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
         for task in tasks:
             yield render_chunk(*task)
         return
-    with multiprocessing.Pool(spec.jobs) as pool:
-        yield from in_order(pool, render_chunk, tasks, WINDOW * spec.jobs)
+    yield from _lanes(spec, fmt, total, CHUNK)
 
 
-def in_order(pool, fn, tasks: Iterable[tuple], window: int) -> Iterator:
-    """``fn(*task)`` for every task, run on ``pool``, yielded in task order.
+# a worker lane's message: the chunk's tuples with count 0, 1, 2 and
+# unknown, then the chunk's bytes
+_COUNT_KEYS = (0, 1, 2, None)
+_COUNTS = struct.Struct("4q")
 
-    At most ``window`` tasks are submitted and not yet yielded, so a slow
-    consumer holds back submission instead of letting results pile up.
+
+def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
+    """The chunks of ``size`` tuples, chunk k rendered by lane k mod L.
+
+    L is ``spec.jobs``, or the number of chunks if that is smaller.  Lane 0
+    is this process, rendering inline; every other lane is one process
+    writing its chunks, in index order, down its own one-way pipe.  A lane
+    blocks once its pipe is full, so what is in flight stays bounded by
+    one pipe per worker lane however slowly the chunks are consumed.
+    Every worker lane is killed and joined on the way out: after the last
+    chunk, on close by the consumer, and on error.
     """
-    pending: deque = deque()
-    for task in tasks:
-        if len(pending) == window:
-            yield pending.popleft().get()
-        pending.append(pool.apply_async(fn, task))
-    while pending:
-        yield pending.popleft().get()
+    starts = range(0, total, size)
+    lanes = min(spec.jobs, len(starts))
+    workers = []
+    try:
+        for lane in range(1, lanes):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_lane_main, name=f"sweep-lane-{lane}", daemon=True,
+                args=(writer, spec, fmt, total, starts[lane::lanes], size),
+            )
+            proc.start()
+            workers.append((reader, proc))
+            writer.close()  # so the reader sees end of file once the lane exits
+        for k, start in enumerate(starts):
+            lane = k % lanes
+            if lane == 0:
+                yield render_chunk(spec, fmt, start, min(start + size, total))
+                continue
+            reader, proc = workers[lane - 1]
+            try:
+                message = reader.recv_bytes()
+            except EOFError:
+                proc.join()
+                raise LaneDied(
+                    f"sweep lane {lane} of {lanes} stopped before its last chunk "
+                    f"(exit code {proc.exitcode})"
+                ) from None
+            counts = _COUNTS.unpack_from(message)
+            yield Chunk(message[_COUNTS.size:],
+                        Counter({key: n for key, n in zip(_COUNT_KEYS, counts) if n}))
+    finally:
+        for reader, proc in workers:
+            proc.kill()
+        for reader, proc in workers:
+            proc.join()
+            reader.close()
+
+
+def _lane_main(writer, spec: SweepSpec, fmt: str, total: int, starts: range, size: int) -> None:
+    """A worker lane: render the chunks at ``starts`` and send them in order."""
+    for start in starts:
+        chunk = render_chunk(spec, fmt, start, min(start + size, total))
+        writer.send_bytes(_COUNTS.pack(*(chunk.counts[key] for key in _COUNT_KEYS)) + chunk.data)
 
 
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:

@@ -164,7 +164,7 @@ def test_criterion_6_vanishing_classes():
 def test_criterion_7_sweep_determinism():
     """Sweep output is byte-identical at 1 and 8 workers."""
     args = [sys.executable, "-m", "bundle_census", "sweep",
-            "--rank", "2", "--dim", "3", "--bounds", "-5:5,-5:5",
+            "--rank", "2", "--dim", "3", "--bounds", "-20:20,-20:20",
             "--format", "json"]
     single = subprocess.run(args + ["--jobs", "1"], capture_output=True, timeout=300)
     multi = subprocess.run(args + ["--jobs", "8"], capture_output=True, timeout=300)

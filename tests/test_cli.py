@@ -1,19 +1,22 @@
 """CLI contract: exit codes, formats, round-trips, determinism."""
 
+import fcntl
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from bundle_census import cli
+from bundle_census import _kernels_py, cli, sweep
 from bundle_census.sweep import (
     MAX_JOBS,
     BoxTooLarge,
     ResultRecord,
     SweepSpec,
     evaluate_classes,
-    in_order,
     parse_bounds,
     sweep_chunks,
 )
@@ -164,8 +167,9 @@ class TestSweepCommand:
         assert lines[1] == "1;1,0,corank_one,3=1/2,false"
 
     def test_deterministic_across_workers(self):
+        # 7 chunks, so every one of the 4 lanes has work
         args = ("sweep", "--rank", "2", "--dim", "3",
-                "--bounds", "-3:3,-3:3", "--format", "json")
+                "--bounds", "-20:20,-20:20", "--format", "json")
         single = run_cli(*args, "--jobs", "1")
         multi = run_cli(*args, "--jobs", "4")
         assert single.returncode == multi.returncode == 0
@@ -218,6 +222,17 @@ class TestDiagnoseCommand:
         proc = run_cli("diagnose", "--classes", "0,0,0")
         assert proc.returncode == 0
 
+    def test_condition_past_double_range_is_flagged(self):
+        # (1 + max|delta|)^r passes 1e308 long before r reaches 110
+        classes = (1000,) + (0,) * 109
+        proc = run_cli("diagnose", "--classes", ",".join(map(str, classes)))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:-1]]
+        want = {r: str(Fraction(num, den)) for r, num, den in _kernels_py.schwarz_terms(classes, 110)}
+        assert {int(row[0]): row[1] for row in rows} == want
+        assert rows[-1][-1] == "unreliable"
+
 
 class TestRecordRoundTrip:
     def test_json_round_trip(self):
@@ -266,39 +281,32 @@ class TestSweepModule:
             SweepSpec(2, 3, ((-1, 1),))
 
     def test_parallel_matches_serial(self):
-        spec1 = SweepSpec(2, 3, ((-2, 2), (-2, 2)), jobs=1)
-        spec4 = SweepSpec(2, 3, ((-2, 2), (-2, 2)), jobs=4)
+        spec1 = SweepSpec(2, 3, ((-20, 20), (-20, 20)), jobs=1)
+        spec4 = SweepSpec(2, 3, ((-20, 20), (-20, 20)), jobs=4)
         assert list(sweep_chunks(spec1, "json")) == list(sweep_chunks(spec4, "json"))
 
-    def test_in_order_bounds_tasks_in_flight(self):
-        pool = StubPool()
-        results = in_order(pool, lambda x: 10 * x, ((i,) for i in range(50)), window=6)
-        got = []
-        for value in results:
-            got.append(value)
-            # the consumer is as slow as it likes: nothing more is submitted
-            assert pool.outstanding <= 6
-        assert got == [10 * i for i in range(50)]
-        assert pool.most_outstanding == 6
-        assert pool.outstanding == 0
+    def test_worker_lane_backlog_is_bounded(self, monkeypatch):
+        # a lane writing to a pipe nobody reads: with the write end made
+        # non-blocking, the point where a lane would block raises instead
+        rendered, real_render = [], sweep.render_chunk
 
+        def render(*task):
+            chunk = real_render(*task)
+            rendered.append(len(chunk.data))
+            return chunk
 
-class StubPool:
-    """Runs tasks inline, counting those submitted and not yet collected."""
-
-    def __init__(self):
-        self.outstanding = self.most_outstanding = 0
-
-    def apply_async(self, fn, args):
-        self.outstanding += 1
-        self.most_outstanding = max(self.most_outstanding, self.outstanding)
-        return StubResult(self, fn(*args))
-
-
-class StubResult:
-    def __init__(self, pool, value):
-        self.pool, self.value = pool, value
-
-    def get(self):
-        self.pool.outstanding -= 1
-        return self.value
+        monkeypatch.setattr(sweep, "render_chunk", render)
+        spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
+        total = spec.tuple_count()
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        try:
+            capacity = fcntl.fcntl(writer.fileno(), fcntl.F_GETPIPE_SZ)
+            os.set_blocking(writer.fileno(), False)
+            with pytest.raises(BlockingIOError):
+                sweep._lane_main(writer, spec, "json", total,
+                                 range(0, total, sweep.CHUNK), sweep.CHUNK)
+        finally:
+            reader.close()
+            writer.close()
+        sent = rendered[:-1]  # the last chunk rendered is the one that did not fit
+        assert sent and sum(sent) <= capacity

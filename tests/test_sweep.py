@@ -7,9 +7,15 @@ and the table by its format string.  The chunked sweep must give the same bytes 
 format, chunk size, kernel path and worker count.
 """
 
+import contextlib
 import csv
 import io
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +114,110 @@ def test_two_workers_give_identical_bytes(box, monkeypatch):
     two = list(sweep_chunks(SweepSpec(rank, dim, bounds, jobs=2), fmt))
     assert len(one) > 1
     assert one == two
+
+
+def test_lanes_start_no_more_workers_than_chunks(monkeypatch):
+    started = []
+    start = multiprocessing.Process.start
+    monkeypatch.setattr(multiprocessing.Process, "start",
+                        lambda proc: (started.append(proc), start(proc)))
+    monkeypatch.setattr(sweep, "CHUNK", 16)
+    bounds = ((0, 5), (0, 5))  # 36 tuples: 3 chunks
+    one = list(sweep_chunks(SweepSpec(2, 3, bounds, jobs=1), "table"))
+    many = list(sweep_chunks(SweepSpec(2, 3, bounds, jobs=sweep.MAX_JOBS), "table"))
+    assert len(one) == 3 and many == one
+    assert len(started) == 2
+
+
+def sweep_argv(rank, dim, bounds, fmt, jobs):
+    text = ",".join(f"{lo}:{hi}" for lo, hi in bounds)
+    return ["sweep", "--rank", str(rank), "--dim", str(dim), f"--bounds={text}",
+            "--format", fmt, "--jobs", str(jobs)]
+
+
+@pytest.mark.parametrize("fmt", sweep.FORMATS)
+@pytest.mark.parametrize("bounds", [((-20, 20), (-20, 20)), ((0, 24), (0, 11))],
+                         ids=["many_chunks", "fewer_chunks_than_lanes"])
+def test_three_lanes_match_one_job(bounds, fmt):
+    # a real stdout pipe is block-buffered, so the csv and table header is
+    # still buffered when the lanes fork; it must reach stdout exactly once
+    runs = [subprocess.run([sys.executable, "-m", "bundle_census", *sweep_argv(2, 3, bounds, fmt, jobs)],
+                           capture_output=True, timeout=120) for jobs in (1, 3)]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
+    if fmt != "json":
+        assert runs[1].stdout.count(b"classes") == 1
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_killed_lane_raises_and_leaves_no_process():
+    # each lane's share is far above a pipe's capacity, so lane 1 cannot
+    # have sent all of it before the kill
+    spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
+    with deadline(60):
+        chunks = sweep_chunks(spec, "json")
+        next(chunks)
+        (lane,) = multiprocessing.active_children()
+        os.kill(lane.pid, signal.SIGKILL)
+        with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code -9"):
+            for _ in chunks:
+                pass
+    assert multiprocessing.active_children() == []
+
+
+def test_lane_that_raises_is_reported(monkeypatch):
+    parent, render = os.getpid(), sweep.render_chunk
+
+    def render_or_fail(*task):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("lane failure")
+        return render(*task)
+
+    monkeypatch.setattr(sweep, "render_chunk", render_or_fail)
+    with deadline(60), pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code 1"):
+        list(sweep_chunks(SweepSpec(2, 3, ((-20, 20), (-20, 20)), jobs=2), "json"))
+    assert multiprocessing.active_children() == []
+
+
+# runs cli.main with worker lanes that SIGKILL themselves at their second chunk
+KILL_LANE_AFTER_FIRST_CHUNK = """
+import os, signal, sys
+from bundle_census import cli, sweep
+parent, render, rendered = os.getpid(), sweep.render_chunk, []
+def render_then_die(*task):
+    if os.getpid() != parent:
+        if rendered:
+            os.kill(os.getpid(), signal.SIGKILL)
+        rendered.append(task)
+    return render(*task)
+sweep.render_chunk = render_then_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_reports_a_killed_lane():
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_LANE_AFTER_FIRST_CHUNK,
+         *sweep_argv(2, 3, ((-100, 100), (-100, 100)), "json", 2)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sweep lane 1 of 2 stopped before its last chunk (exit code -9)"]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
