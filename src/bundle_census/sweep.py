@@ -21,7 +21,6 @@ import json
 import multiprocessing
 import operator
 import os
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -192,27 +191,15 @@ class Chunk(NamedTuple):
 def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """Every record of the box rendered in ``fmt``, one chunk at a time.
 
-    The box's linear index is cut into ranges of CHUNK tuples, evaluated
-    in this process or, with ``spec.jobs`` > 1, split across lanes (see
-    ``_lanes``), and yielded in index order, so the bytes do not depend on
-    the worker count.  Raises BoxTooLarge before doing any work if the box
-    exceeds the cap, and LaneDied if a worker lane stops early.
+    The box's linear index is cut into ranges of CHUNK tuples, split
+    across ``spec.jobs`` lanes (see ``_lanes``; the one lane of a single
+    job is this process) and yielded in index order, so the bytes do not
+    depend on the worker count.  Raises BoxTooLarge before doing any work
+    if the box exceeds the cap, and LaneDied if a worker lane stops early.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    total = _check_cap(spec)
-    tasks = ((spec, fmt, start, min(start + CHUNK, total)) for start in range(0, total, CHUNK))
-    if spec.jobs == 1:
-        for task in tasks:
-            yield render_chunk(*task)
-        return
-    yield from _lanes(spec, fmt, total, CHUNK)
-
-
-# a worker lane's message: the chunk's tuples with count 0, 1, 2 and
-# unknown, then the chunk's bytes
-_COUNT_KEYS = (0, 1, 2, None)
-_COUNTS = struct.Struct("4q")
+    yield from _lanes(spec, fmt, _check_cap(spec), CHUNK)
 
 
 def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
@@ -220,14 +207,15 @@ def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
 
     L is ``spec.jobs``, or the number of chunks if that is smaller.  Lane 0
     is this process, rendering inline; every other lane is one process
-    writing its chunks, in index order, down its own one-way pipe.  A lane
+    sending its chunks, in index order, down its own one-way pipe.  A lane
     blocks once its pipe is full, so what is in flight stays bounded by
     one pipe per worker lane however slowly the chunks are consumed.
     Every worker lane is killed and joined on the way out: after the last
     chunk, on close by the consumer, and on error.
     """
     starts = range(0, total, size)
-    lanes = min(spec.jobs, len(starts))
+    chunks = -(-total // size)  # len(starts) overflows past sys.maxsize chunks
+    lanes = min(spec.jobs, chunks)
     workers = []
     try:
         for lane in range(1, lanes):
@@ -239,23 +227,10 @@ def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
             proc.start()
             workers.append((reader, proc))
             writer.close()  # so the reader sees end of file once the lane exits
-        for k, start in enumerate(starts):
+        own = _render_lane(spec, fmt, total, starts[::lanes], size)
+        for k in range(chunks):
             lane = k % lanes
-            if lane == 0:
-                yield render_chunk(spec, fmt, start, min(start + size, total))
-                continue
-            reader, proc = workers[lane - 1]
-            try:
-                message = reader.recv_bytes()
-            except EOFError:
-                proc.join()
-                raise LaneDied(
-                    f"sweep lane {lane} of {lanes} stopped before its last chunk "
-                    f"(exit code {proc.exitcode})"
-                ) from None
-            counts = _COUNTS.unpack_from(message)
-            yield Chunk(message[_COUNTS.size:],
-                        Counter({key: n for key, n in zip(_COUNT_KEYS, counts) if n}))
+            yield next(own) if lane == 0 else _receive(*workers[lane - 1], lane, lanes)
     finally:
         for reader, proc in workers:
             proc.kill()
@@ -264,11 +239,28 @@ def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
             reader.close()
 
 
+def _render_lane(spec: SweepSpec, fmt: str, total: int, starts: range, size: int) -> Iterator[Chunk]:
+    """The chunks of ``size`` tuples at ``starts``, rendered in this process."""
+    for start in starts:
+        yield render_chunk(spec, fmt, start, min(start + size, total))
+
+
 def _lane_main(writer, spec: SweepSpec, fmt: str, total: int, starts: range, size: int) -> None:
     """A worker lane: render the chunks at ``starts`` and send them in order."""
-    for start in starts:
-        chunk = render_chunk(spec, fmt, start, min(start + size, total))
-        writer.send_bytes(_COUNTS.pack(*(chunk.counts[key] for key in _COUNT_KEYS)) + chunk.data)
+    for chunk in _render_lane(spec, fmt, total, starts, size):
+        writer.send(chunk)
+
+
+def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
+    """The next chunk from a worker lane; LaneDied if its pipe has ended."""
+    try:
+        return reader.recv()
+    except (EOFError, OSError):  # end of file between two chunks or inside one
+        proc.join()
+        raise LaneDied(
+            f"sweep lane {lane} of {lanes} stopped before its last chunk "
+            f"(exit code {proc.exitcode})"
+        ) from None
 
 
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:

@@ -9,6 +9,7 @@ format, chunk size, kernel path and worker count.
 
 import contextlib
 import csv
+import fcntl
 import io
 import json
 import multiprocessing
@@ -16,6 +17,8 @@ import os
 import signal
 import subprocess
 import sys
+import termios
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -178,46 +181,85 @@ def test_killed_lane_raises_and_leaves_no_process():
     assert multiprocessing.active_children() == []
 
 
-def test_lane_that_raises_is_reported(monkeypatch):
-    parent, render = os.getpid(), sweep.render_chunk
-
-    def render_or_fail(*task):
-        if os.getpid() != parent:
-            raise ZeroDivisionError("lane failure")
-        return render(*task)
-
-    monkeypatch.setattr(sweep, "render_chunk", render_or_fail)
-    with deadline(60), pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code 1"):
-        list(sweep_chunks(SweepSpec(2, 3, ((-20, 20), (-20, 20)), jobs=2), "json"))
+def test_lane_that_raises_is_reported():
+    spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
+    # the lane starts with this handler even where the tests were started
+    # with SIGINT ignored
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with deadline(60):
+            chunks = sweep_chunks(spec, "json")
+            next(chunks)
+            next(chunks)  # lane 1's first chunk: the lane is running Python
+            (lane,) = multiprocessing.active_children()
+            os.kill(lane.pid, signal.SIGINT)  # KeyboardInterrupt inside the lane
+            with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code 1"):
+                for _ in chunks:
+                    pass
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert multiprocessing.active_children() == []
 
 
-# runs cli.main with worker lanes that SIGKILL themselves at their second chunk
-KILL_LANE_AFTER_FIRST_CHUNK = """
-import os, signal, sys
-from bundle_census import cli, sweep
-parent, render, rendered = os.getpid(), sweep.render_chunk, []
-def render_then_die(*task):
-    if os.getpid() != parent:
-        if rendered:
-            os.kill(os.getpid(), signal.SIGKILL)
-        rendered.append(task)
-    return render(*task)
-sweep.render_chunk = render_then_die
-sys.exit(cli.main(sys.argv[1:]))
-"""
+def pipe_bytes(conn):
+    """Bytes waiting to be read from a pipe."""
+    waiting = bytearray(4)
+    fcntl.ioctl(conn.fileno(), termios.FIONREAD, waiting)
+    return int.from_bytes(waiting, sys.byteorder)
 
 
-def test_cli_reports_a_killed_lane():
-    proc = subprocess.run(
-        [sys.executable, "-c", KILL_LANE_AFTER_FIRST_CHUNK,
-         *sweep_argv(2, 3, ((-100, 100), (-100, 100)), "json", 2)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+def test_lane_killed_inside_a_chunk_is_reported():
+    # a message four pipes long: once more than its 4-byte header is in the
+    # pipe, the lane has sent part of it and can never send the rest
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    capacity = fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ)
+    lane = multiprocessing.Process(target=writer.send_bytes, args=(bytes(4 * capacity),), daemon=True)
+    lane.start()
+    writer.close()
+    try:
+        with deadline(60):
+            while pipe_bytes(reader) <= 4:
+                time.sleep(0.01)
+            os.kill(lane.pid, signal.SIGKILL)
+            with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code -9"):
+                sweep._receive(reader, lane, 1, 2)
+    finally:
+        lane.kill()
+        lane.join()
+        reader.close()
+
+
+def test_cli_reports_a_killed_lane(monkeypatch, capsys):
+    # this process kills the worker lane once it has rendered its own
+    # first chunk; the lane's share is far above a pipe's capacity
+    parent, render = os.getpid(), sweep.render_chunk
+
+    def render_then_kill_lanes(*task):
+        chunk = render(*task)
+        if os.getpid() == parent:
+            for lane in multiprocessing.active_children():
+                os.kill(lane.pid, signal.SIGKILL)
+        return chunk
+
+    monkeypatch.setattr(sweep, "render_chunk", render_then_kill_lanes)
+    with deadline(60):
+        code = cli.main(sweep_argv(2, 3, ((-100, 100), (-100, 100)), "json", 2))
+    err = capsys.readouterr().err
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: sweep lane 1 of 2 stopped before its last chunk (exit code -9)"]
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
+    bounds = ((0, 10**14), (0, 10**14))
+    first = sweep.render_chunk(SweepSpec(2, 3, bounds), "csv", 0, sweep.CHUNK)
+    with deadline(60):
+        chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=10**29), "csv")
+        assert next(chunks) == first
+        chunks.close()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
