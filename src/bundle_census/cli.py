@@ -4,30 +4,60 @@ Machine-readable output goes to stdout (JSON lines or CSV for sweeps),
 diagnostics to stderr.  Exit codes: 0 success / condition satisfied,
 1 condition failed, exact-numeric disagreement or a sweep worker lane that
 died before its last chunk (one ``error:`` line, no traceback), 2 usage
-error.
+error, including a condition order above MAX_ORDER and classes whose B_r
+could be too long for Python to print.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
 from contextlib import closing
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, kernels
 from .chern import ChernVector
-from .enumeration import check_schwarzenberger, count_bundles
+from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
 from .sweep import (FORMATS, MAX_JOBS, BoxTooLarge, LaneDied, SweepSpec, header, parse_bounds,
                     sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
+# largest condition order S_N a command runs: the memoized Stirling triangle
+# up to S_400 holds about 22 MB
+MAX_ORDER = 400
+
+
 class UsageError(Exception):
     pass
+
+
+def _admit(order: Optional[int], classes: Sequence[int]) -> None:
+    """Refuse S_order on these classes before any output, if it is out of reach.
+
+    Out of reach is an order above MAX_ORDER, or a B_r that could pass
+    Python's limit on the digits of a printed integer.  The certificate
+    N R(R+1)...(R+N-1), R = 1 + max|c_i|, bounds every numerator and
+    denominator (``kernels.int64_certified``), so the input decides.
+    """
+    if order is None:
+        return
+    if order > MAX_ORDER:
+        raise UsageError(f"condition order {order} is above the cap of {MAX_ORDER}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    max_abs = max(map(abs, classes), default=0)
+    # 2^floor(digits log2 10) <= 10^digits, without computing 10^digits
+    if digits and not kernels.certificate_below(order, max_abs, 1 << int(digits * math.log2(10))):
+        raise UsageError(
+            f"B_r of S_{order} on classes of up to {len(str(max_abs))} digits may pass "
+            f"Python's limit of {digits} digits for printing an integer; "
+            "set PYTHONINTMAXSTRDIGITS to raise it"
+        )
 
 
 def parse_classes(text: str) -> tuple[int, ...]:
@@ -86,6 +116,7 @@ def cmd_check(args) -> int:
             f"S_{N} needs exactly {N} classes, got {len(classes)}; "
             "pad with explicit zeros if your rank is smaller"
         )
+    _admit(N, classes)
     report = check_schwarzenberger(classes, N)
     print(f"S_{N} for classes {classes}")
     for term in report.values:
@@ -98,6 +129,7 @@ def cmd_check(args) -> int:
 def cmd_count(args) -> int:
     classes = parse_classes(args.classes)
     vector = _vector(args.rank, args.dim, classes)
+    _admit(counting_rule(vector.rank, vector.dim).order, vector.classes)
     result = count_bundles(vector)
     print(f"rank {vector.rank} bundle on CP^{vector.dim} with classes {vector.classes}")
     print(f"count: {result.count if result.known else 'unknown'}")
@@ -126,6 +158,7 @@ def cmd_sweep(args) -> int:
         spec.cap()  # surface a malformed cap override before any work
     except ValueError as exc:
         raise UsageError(str(exc))
+    _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in bounds for x in bound])
     total = spec.tuple_count()
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
           f"jobs={spec.jobs}", file=sys.stderr)
@@ -173,6 +206,7 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"--N must be >= 1, got {N}")
     if len(classes) != N:
         raise UsageError(f"S_{N} needs exactly {N} classes, got {len(classes)}")
+    _admit(N, classes)
     roots, rows = compare_exact_numeric(classes, range(2, N + 1))
     print(f"root residual: {roots.residual:.3e} "
           f"({'reliable' if roots.reliable else 'UNRELIABLE'})")

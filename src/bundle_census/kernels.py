@@ -1,9 +1,11 @@
 """The exact arithmetic kernels the library calls.
 
-Re-exports the bignum kernels of ``_kernels_py`` and adds the int64 batch
-kernel that sweeps run on whole chunks of tuples.  Callers look the
-functions up as attributes of this module (``kernels.schwarz_terms``), so a
-profiler or test can wrap one in a single place.
+Re-exports the single-tuple kernels of ``_kernels_py`` and adds the batch
+kernel that sweeps run on whole chunks of tuples, on int64 columns where
+the overflow certificate holds and on columns of Python ints elsewhere.
+Callers look the functions up as attributes of this module
+(``kernels.schwarz_terms``), so a profiler or test can wrap one in a single
+place.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "INT64_LIMIT",
     "backend_name",
     "binomial_sum_num_den",
+    "certificate_below",
     "int64_certified",
     "power_sums",
     "schwarz_terms",
@@ -65,38 +68,63 @@ def int64_certified(order: int, max_abs: int) -> bool:
     stays below the certificate, and 2^62 leaves a factor of two to the
     int64 range.
     """
+    return certificate_below(order, max_abs, INT64_LIMIT)
+
+
+def certificate_below(order: int, max_abs: int, limit: int) -> bool:
+    """Whether order * R(R+1)...(R+order-1) < ``limit``, R = 1 + max_abs.
+
+    The certificate bounds every value ``schwarz_terms`` forms for S_order
+    on classes with |c_i| <= max_abs, reduced B_r included (see
+    ``int64_certified``).  The product stops once it reaches ``limit``.
+    """
     bound = order
     for i in range(order):
         bound *= 1 + max_abs + i
-        if bound >= INT64_LIMIT:
+        if bound >= limit:
             return False
-    return True
+    return bound < limit
+
+
+def _exact_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order,
+    # as Python ints: both leave int64 from r = 21
+    stirling = np.zeros((max(order - 1, 0), order), dtype=object)
+    for r in range(2, order + 1):
+        stirling[r - 2, :r] = stirling_row(r)[1:]
+    factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=object).reshape(-1, 1)
+    return stirling, factorials
 
 
 @cache
-def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order
-    stirling = np.zeros((max(order - 1, 0), order), dtype=np.int64)
-    for r in range(2, order + 1):
-        stirling[r - 2, :r] = stirling_row(r)[1:]
-    factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=np.int64).reshape(-1, 1)
+def _int64_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # only orders the certificate admits (N <= 19), where every weight fits
+    stirling, factorials = (w.astype(np.int64) for w in _exact_weights(order))
     stirling.flags.writeable = factorials.flags.writeable = False
     return stirling, factorials
 
 
 def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced B_r, 2 <= r <= N, for every row of a ``(T, N)`` int64 array.
+    """Reduced B_r, 2 <= r <= N, for every row of a ``(T, N)`` array of classes.
 
-    Returns ``(num, den)``, each ``(T, N-1)`` int64 with column r-2 holding
-    B_r in lowest terms, den >= 1: row for row what ``schwarz_terms``
-    returns.  The batch must satisfy ``int64_certified``, checked once here
-    before any arithmetic; no operation is checked afterwards.
+    Returns ``(num, den)``, each ``(T, N-1)`` with column r-2 holding B_r in
+    lowest terms, den >= 1: row for row what ``schwarz_terms`` returns.
+    An ``object`` array of Python ints runs the same column operations
+    exactly at any size, and gives ``object`` arrays back.  Any other
+    input is computed in int64 and must satisfy ``int64_certified``,
+    checked once here before any arithmetic; no operation is checked
+    afterwards.
     """
     T, order = classes.shape
-    max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
-    if not int64_certified(order, max_abs):
-        raise ValueError(f"S_{order} with |c_i| up to {max_abs} is not int64-certified")
-    c = np.ascontiguousarray(classes.T, dtype=np.int64)
+    if classes.dtype == object:
+        c = np.ascontiguousarray(classes.T)
+        stirling, factorials = _exact_weights(order)
+    else:
+        max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
+        if not int64_certified(order, max_abs):
+            raise ValueError(f"S_{order} with |c_i| up to {max_abs} is not int64-certified")
+        c = np.ascontiguousarray(classes.T, dtype=np.int64)
+        stirling, factorials = _int64_weights(order)
     # Newton's identities, one row of power sums at a time
     p = np.empty_like(c)
     for k in range(1, order + 1):
@@ -108,7 +136,6 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             else:
                 acc -= term
         p[k - 1] = acc
-    stirling, factorials = _weights(order)
     num = stirling @ p
     g = np.gcd(num, factorials)
     return (num // g).T, (factorials // g).T

@@ -134,13 +134,16 @@ def binomial_sum_numeric(c: ClassData, r: int, roots: Optional[NumericRoots] = N
         raise ValueError(f"need r >= 1, got {r}")
     if roots is None:
         roots = find_roots(c)
+    # r! passes the float range from r = 171; beyond it each term is
+    # C(delta, r) built one factor (delta - i)/(i + 1) at a time
+    stepwise = r > 170
     total = 0j
     for delta in roots.roots:
         term = 1 + 0j
         for i in range(r):
-            term *= delta - i
+            term *= (delta - i) / (i + 1) if stepwise else delta - i
         total += term
-    return total / float(factorial(r))
+    return total if stepwise else total / float(factorial(r))
 
 
 def _saturating_float(x: int) -> float:

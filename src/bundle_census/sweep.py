@@ -4,9 +4,9 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 CHUNK tuples.  Each range is decoded into a column array of classes, run
-through the int64 batch kernel when its overflow certificate holds (else
-through the bignum kernel, one tuple at a time) and rendered straight to
-the bytes of its records.  With more than one job the ranges are dealt
+through the batch kernel (on int64 columns when its overflow certificate
+holds, else on columns of Python ints) and rendered straight to the bytes
+of its records.  With more than one job the ranges are dealt
 round-robin to lanes: the calling process renders its own share and each
 worker lane streams its finished bytes down one pipe.  Ranges are always
 yielded in index order, so output is deterministic and independent of the
@@ -267,12 +267,12 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
     """Records of the tuples with linear index in [start, stop), as bytes."""
     rule = counting_rule(spec.rank, spec.dim)
     extent = _extent(spec.bounds, start, stop)
+    dtype = object
     if stop <= _INT64_INDEX and extent < kernels.INT64_LIMIT and (
         rule.order is None or kernels.int64_certified(rule.order, extent)
     ):
-        columns, counts, failing = _classify_int64(spec.bounds, rule, start, stop)
-    else:
-        columns, counts, failing = _classify_bignum(spec.bounds, rule, start, stop)
+        dtype = np.int64
+    columns, counts, failing = _classify(spec.bounds, rule, start, stop, dtype)
     text = _RENDER[fmt](columns, counts, failing, rule.regime, extent <= _SAFE_JSON_INT)
     return Chunk(text.encode(), Counter(counts))
 
@@ -295,18 +295,27 @@ def _extent(bounds, start: int, stop: int) -> int:
     return extent
 
 
-# The classifiers return (columns, counts, failing) for a range of the box:
-# one list of ints per class, the count of each tuple, and the failing B_r
-# as (r, "num/den") pairs keyed by the tuple's position in the range.
+def _classify(bounds, rule, start, stop, dtype):
+    """Classify the tuples with linear index in [start, stop) as columns.
 
-def _classify_int64(bounds, rule, start, stop):
-    # every class and index of the range fits int64; a radix beyond the
-    # largest index decodes like any other, so it is clipped
-    index = np.arange(start, stop, dtype=np.int64)
-    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=np.int64)
+    Returns (columns, counts, failing): one list of ints per class, the
+    count of each tuple, and the failing B_r as (r, "num/den") pairs keyed
+    by the tuple's position in the range.  ``dtype`` is int64 when every
+    class and index of the range and the kernel's arithmetic fit it (the
+    certificate), else ``object``: Python ints, exact at any size.
+    """
+    if dtype is object:
+        # np.arange and np.divmod have no object form, and an index may pass int64
+        index = np.array(range(start, stop), dtype=object)
+    else:
+        index = np.arange(start, stop, dtype=np.int64)
+    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=dtype)
     for j in range(len(bounds) - 1, -1, -1):
         lo, hi = bounds[j]
-        index, digit = np.divmod(index, min(hi - lo + 1, _INT64_INDEX))
+        if dtype is object:
+            index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
+        else:  # a radix beyond the largest index decodes like any other, so it is clipped
+            index, digit = np.divmod(index, min(hi - lo + 1, _INT64_INDEX))
         classes[:, j] = digit + lo
     failing = {}
     satisfied = True
@@ -319,28 +328,6 @@ def _classify_int64(bounds, rule, start, stop):
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
     return classes[:, : len(bounds)].T.tolist(), counts, failing
-
-
-def _classify_bignum(bounds, rule, start, stop):
-    radices = [hi - lo + 1 for lo, hi in bounds]
-    rows, counts, failing = [], [], {}
-    for i, index in enumerate(range(start, stop)):
-        row = []
-        for (lo, _), radix in zip(reversed(bounds), reversed(radices)):
-            index, digit = divmod(index, radix)
-            row.append(lo + digit)
-        row.reverse()
-        satisfied = True
-        if rule.order is not None:
-            padded = tuple(row) + (0,) * (rule.order - len(row))
-            terms = kernels.schwarz_terms(padded, rule.order)
-            fails = [(r, f"{num}/{den}") for r, num, den in terms if den != 1]
-            if fails:
-                failing[i] = fails
-                satisfied = False
-        rows.append(row)
-        counts.append(rule.count(satisfied, row[0]))
-    return [list(col) for col in zip(*rows)], counts, failing
 
 
 def _render_json(columns, counts, failing, regime, small):

@@ -222,6 +222,75 @@ class TestDiagnoseCommand:
         assert proc.returncode == 0
 
 
+HUGE = 10**4000 + 1  # B_2 = (c_1^2 - c_1)/2 - c_2 has 8000 digits
+DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}  # Python's default limit
+
+
+def order_argv(command, N):
+    """argv running ``command`` at condition order N on zero classes."""
+    zeros = ",".join(["0"] * N)
+    if command in ("check", "diagnose"):
+        return [command, "--classes", zeros]
+    if command == "count":  # stable range: S_rank
+        return [command, "--rank", str(N), "--dim", str(N), "--classes", zeros]
+    bounds = ",".join(["0:0"] * N)
+    return [command, "--rank", str(N), "--dim", str(N), "--bounds", bounds, "--format", "csv"]
+
+
+class TestInputsOutOfReach:
+    """Orders above the cap and unprintable B_r exit 2 before any output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--classes", f"{HUGE},0"],
+        ["count", "--rank", "2", "--dim", "3", "--classes", f"{HUGE},1"],
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds", f"{HUGE}:{HUGE},0:1", "--format", "json"],
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds", f"{HUGE}:{HUGE},0:1", "--format", "csv"],
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds", f"{HUGE}:{HUGE},0:1", "--format", "table"],
+        ["diagnose", "--classes", f"{HUGE},0"],
+    ], ids=["check", "count", "sweep_json", "sweep_csv", "sweep_table", "diagnose"])
+    def test_unprintable_b_r_is_a_usage_error(self, argv):
+        proc = run_cli(*argv, env=DIGITS)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: B_r of S_")
+        assert "4300 digits" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_without_a_digit_limit_huge_b_r_prints(self):
+        proc = run_cli("check", "--classes", f"{HUGE},0", env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert proc.returncode in (0, 1) and proc.stderr == ""
+        (b2,) = [line for line in proc.stdout.splitlines() if line.lstrip().startswith("r = 2")]
+        assert len(b2) > 8000
+
+    def test_printable_classes_beyond_int64_pass(self):
+        proc = run_cli("check", "--classes", f"{10**40},0", env=DIGITS)
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("command", ["check", "count", "sweep", "diagnose"])
+    def test_order_cap(self, command, capsysbinary):
+        assert cli.main(order_argv(command, cli.MAX_ORDER)) == 0
+        out, err = capsysbinary.readouterr()
+        assert out and b"error" not in err
+        assert cli.main(order_argv(command, cli.MAX_ORDER + 1)) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert err.decode().splitlines()[-1] == (
+            f"error: condition order {cli.MAX_ORDER + 1} is above the cap of {cli.MAX_ORDER}")
+
+    def test_count_and_sweep_derive_the_order_from_the_rank(self, capsys):
+        # corank one tests S_(rank+1)
+        N = cli.MAX_ORDER
+        assert cli.main(["count", "--rank", str(N - 1), "--dim", str(N),
+                         "--classes", ",".join(["0"] * (N - 1))]) == 0
+        assert cli.main(["count", "--rank", str(N), "--dim", str(N + 1),
+                         "--classes", ",".join(["0"] * N)]) == 2
+        assert cli.main(["sweep", "--rank", str(N), "--dim", str(N + 1),
+                         "--bounds", ",".join(["0:0"] * N)]) == 2
+        # no condition is tested above rank + 1, so no order is capped
+        assert cli.main(["count", "--rank", str(N + 1), "--dim", str(N + 3),
+                         "--classes", ",".join(["0"] * (N + 1))]) == 0
+        assert "above the cap" in capsys.readouterr().err
+
+
 class TestRecordRoundTrip:
     def test_json_round_trip(self):
         for classes in [(0, 0), (1, 1), (-3, 5)]:

@@ -164,11 +164,12 @@ def certified_edge(order):
 ORDERS = range(2, 20)
 
 
-def assert_batch_matches_reference(rows):
-    classes = np.array(rows, dtype=np.int64)
+def assert_batch_matches_reference(rows, dtype=np.int64):
+    classes = np.array(rows, dtype=dtype)
     num, den = kernels.schwarz_terms_batch(classes)
     order = classes.shape[1]
     assert num.shape == den.shape == (len(rows), order - 1)
+    assert num.dtype == den.dtype == dtype
     for row, nums, dens in zip(rows, num.tolist(), den.tolist()):
         got = [(r, n, d) for r, n, d in zip(range(2, order + 1), nums, dens)]
         assert got == kpy.schwarz_terms(tuple(row), order), row
@@ -218,23 +219,45 @@ class TestBatchKernel:
     def test_empty_batch(self):
         num, den = kernels.schwarz_terms_batch(np.zeros((0, 4), dtype=np.int64))
         assert num.shape == den.shape == (0, 3)
+        for order in (1, 4, 25):
+            num, den = kernels.schwarz_terms_batch(np.zeros((0, order), dtype=object))
+            assert num.shape == den.shape == (0, order - 1)
+            assert num.dtype == den.dtype == object
+
+    @pytest.mark.parametrize("order", range(1, 31))
+    def test_object_rows_match_reference(self, order):
+        # from N = 21 the Stirling weights and N! leave int64 too
+        huge = 10**40
+        rows = [[0] * order, [huge] * order, [-huge] * order,
+                [huge if k % 2 else -huge for k in range(order)],
+                [huge - k for k in range(order)],
+                [1] + [0] * (order - 1), [0] * (order - 1) + [-huge],
+                [(k % 5 - 2) * 7 for k in range(order)]]
+        assert_batch_matches_reference(rows, dtype=object)
+
+    @given(data=st.data(), order=st.integers(1, 30), count=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_random_object_rows_match_reference(self, data, order, count):
+        rows = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=order, max_size=order),
+                                  min_size=count, max_size=count))
+        assert_batch_matches_reference(rows, dtype=object)
 
 
 class TestChunkPath:
-    """The certificate decides, chunk by chunk, which kernel a sweep runs."""
+    """The certificate decides, chunk by chunk, the dtype the batch kernel runs on."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = {"batch": 0, "bignum": 0}
+    def dtypes(self, monkeypatch):
+        seen = []
+        batch = kernels.schwarz_terms_batch
 
-        def spy(name, fn):
-            def wrapped(*args):
-                seen[name] += 1
-                return fn(*args)
-            return wrapped
+        def spy(classes):
+            seen.append((classes.dtype, len(classes)))
+            return batch(classes)
 
-        monkeypatch.setattr(kernels, "schwarz_terms_batch", spy("batch", kernels.schwarz_terms_batch))
-        monkeypatch.setattr(kernels, "schwarz_terms", spy("bignum", kernels.schwarz_terms))
+        monkeypatch.setattr(kernels, "schwarz_terms_batch", spy)
+        # the sweep makes no single-tuple kernel call on either dtype
+        monkeypatch.setattr(kernels, "schwarz_terms", None)
         return seen
 
     def chunk(self, c1_lo, c1_hi):
@@ -242,19 +265,19 @@ class TestChunkPath:
         spec = SweepSpec(2, 3, ((c1_lo, c1_hi), (-2, 2)))
         return render_chunk(spec, "json", 0, spec.tuple_count())
 
-    def test_just_below_runs_int64(self, calls):
+    def test_just_below_runs_int64(self, dtypes):
         m = certified_edge(3)
         self.chunk(m - 3, m)
-        assert calls == {"batch": 1, "bignum": 0}
+        assert dtypes == [(np.int64, 20)]
 
-    def test_just_above_runs_bignum(self, calls):
+    def test_just_above_runs_bignum(self, dtypes):
         m = certified_edge(3)
         self.chunk(m - 3, m + 1)  # one class past the edge sends all 25 tuples
-        assert calls == {"batch": 0, "bignum": 25}
+        assert dtypes == [(object, 25)]
         self.chunk(-m - 1, -m)
-        assert calls == {"batch": 0, "bignum": 35}
+        assert dtypes == [(object, 25), (object, 10)]
 
-    def test_certificate_function_decides(self, calls, monkeypatch):
+    def test_certificate_function_decides(self, dtypes, monkeypatch):
         m = certified_edge(3)
         below = self.chunk(m - 3, m)
         asked = []
@@ -266,4 +289,4 @@ class TestChunkPath:
         monkeypatch.setattr(kernels, "int64_certified", refuse)
         assert self.chunk(m - 3, m) == below
         assert asked == [(3, m)]
-        assert calls == {"batch": 1, "bignum": 20}
+        assert dtypes == [(np.int64, 20), (object, 20)]

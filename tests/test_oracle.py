@@ -1,6 +1,7 @@
 """Numeric verification path: root finding and agreement with the exact engine."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -65,6 +66,12 @@ class TestBinomialSumNumeric:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             binomial_sum_numeric((1, 1), 0)
+
+    def test_degree_past_float_factorial(self):
+        # r! passes the float range from r = 171; roots 300 and 250
+        for r in (171, 200, 240):
+            want = math.comb(300, r) + math.comb(250, r)
+            assert binomial_sum_numeric(ChernVector(2, 3, (550, 75000)), r).real == pytest.approx(want, rel=1e-9)
 
 
 class TestAgreement:

@@ -19,7 +19,9 @@ import subprocess
 import sys
 import termios
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,12 @@ from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
 def reference_records(rank, dim, bounds, fmt):
     # run_sweep: evaluate_classes on each tuple of itertools.product
     records = list(run_sweep(SweepSpec(rank, dim, bounds)))
+    totals = {k: sum(rec.count == k for rec in records) for k in (0, 1, 2)}
+    totals[None] = sum(rec.count is None for rec in records)
+    return render_reference(records, len(bounds), fmt), totals
+
+
+def render_reference(records, n_classes, fmt):
     out = io.StringIO()
     if fmt == "json":
         for rec in records:
@@ -46,15 +54,13 @@ def reference_records(rank, dim, bounds, fmt):
                 "true" if rec.extension else "false",
             ])
     else:
-        width = max(20, 3 * len(bounds) * 3)
+        width = max(20, 3 * n_classes * 3)
         for rec in records:
             failing = ";".join(f"{r}={v}" for r, v in rec.failing)
             count = rec.count if rec.count is not None else "unknown"
             out.write(f"{str(rec.classes):<{width}} {count!s:>7} {rec.regime:<13} "
                       f"{failing:<20} {'yes' if rec.extension else 'no'}\n")
-    totals = {k: sum(rec.count == k for rec in records) for k in (0, 1, 2)}
-    totals[None] = sum(rec.count is None for rec in records)
-    return out.getvalue().encode(), totals
+    return out.getvalue().encode()
 
 
 def swept(spec, fmt):
@@ -76,6 +82,10 @@ BOXES = {
     "straddles_negative": (2, 3, ((-EDGE3 - 1, -EDGE3 + 1), (-90, 90))),
     "big_line_bundle": (1, 2, ((BIG - 300, BIG + 300),)),
     "big_classes": (2, 3, ((BIG - 4, BIG + 4), (-(2**70), -(2**70) + 5))),
+    # S_21, whose Stirling weights and 21! leave int64
+    "order_21": (20, 21, ((-2, 2), (-1, 1), (0, 1)) + ((0, 0),) * 16 + ((-1, 1),)),
+    "classes_near_1e40": (3, 4, ((10**40 - 3, 10**40 + 3), (-(10**40) - 2, -(10**40) + 2),
+                                 (7 * 10**39, 7 * 10**39 + 1))),
 }
 
 
@@ -89,23 +99,39 @@ def test_matches_reference(box, fmt, chunk, monkeypatch):
 
 
 def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
-    paths = {"batch": 0, "bignum": 0}
+    dtypes = []
+    batch = kernels.schwarz_terms_batch
 
-    def spy(name, fn):
-        def wrapped(*args):
-            paths[name] += 1
-            return fn(*args)
-        return wrapped
+    def spy(classes):
+        dtypes.append(classes.dtype)
+        return batch(classes)
 
-    monkeypatch.setattr(kernels, "schwarz_terms_batch", spy("batch", kernels.schwarz_terms_batch))
-    monkeypatch.setattr(kernels, "schwarz_terms", spy("bignum", kernels.schwarz_terms))
+    monkeypatch.setattr(kernels, "schwarz_terms_batch", spy)
     for box in ("straddles_certificate", "straddles_negative"):
         rank, dim, bounds = BOXES[box]
         spec = SweepSpec(rank, dim, bounds)
         assert spec.tuple_count() > 2 * sweep.CHUNK
-        before = dict(paths)
+        dtypes.clear()
         swept(spec, "json")
-        assert paths["batch"] > before["batch"] and paths["bignum"] > before["bignum"], box
+        assert len(dtypes) == -(-spec.tuple_count() // sweep.CHUNK), box
+        assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}, box
+
+
+@pytest.mark.parametrize("fmt", sweep.FORMATS)
+def test_decodes_indices_past_int64(fmt):
+    # the last tuples of a box of more than 2^80: their linear indices and
+    # the radices pass int64, so the decoding runs on Python ints
+    bounds = ((0, 2**40), (0, 2**40))
+    spec = SweepSpec(2, 3, bounds, max_tuples=2**81)
+    total = spec.tuple_count()
+    assert total > 2 * sweep._INT64_INDEX
+    start = total - 5
+    tuples = [divmod(index, 2**40 + 1) for index in range(start, total)]
+    assert tuples[-1] == (2**40, 2**40)
+    records = [sweep.evaluate_classes(2, 3, t) for t in tuples]
+    got = sweep.render_chunk(spec, fmt, start, total)
+    assert got.data == render_reference(records, 2, fmt)
+    assert got.counts == Counter(rec.count for rec in records)
 
 
 @pytest.mark.parametrize("box", ["corank_one_rank2", "straddles_certificate", "big_classes"])
