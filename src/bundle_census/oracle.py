@@ -15,6 +15,7 @@ letting it masquerade as a disagreement.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .symfun import ClassData, binomial_sum, coefficients
 
 # residual / imaginary-part tolerances scale with the coefficient size;
@@ -134,16 +136,25 @@ def binomial_sum_numeric(c: ClassData, r: int, roots: Optional[NumericRoots] = N
         raise ValueError(f"need r >= 1, got {r}")
     if roots is None:
         roots = find_roots(c)
-    # r! passes the float range from r = 171; beyond it each term is
-    # C(delta, r) built one factor (delta - i)/(i + 1) at a time
-    stepwise = r > 170
+    # r! passes the float range from r = 171, and the falling factorials of
+    # large roots pass it sooner; past either each term is C(delta, r)
+    # built one factor (delta - i)/(i + 1) at a time
+    if r <= 170:
+        total = _root_sum(roots, r, stepwise=False) / float(factorial(r))
+        if cmath.isfinite(total):
+            return total
+    return _root_sum(roots, r, stepwise=True)
+
+
+def _root_sum(roots: NumericRoots, r: int, stepwise: bool) -> complex:
+    """sum_j delta_j (delta_j - 1) ... (delta_j - r + 1), or of C(delta_j, r) if ``stepwise``."""
     total = 0j
     for delta in roots.roots:
         term = 1 + 0j
         for i in range(r):
             term *= (delta - i) / (i + 1) if stepwise else delta - i
         total += term
-    return total if stepwise else total / float(factorial(r))
+    return total
 
 
 def _saturating_float(x: int) -> float:
@@ -157,11 +168,13 @@ def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[Numeri
     """Exact and numeric B_r side by side for each requested r."""
     coeffs = coefficients(c)
     roots = find_roots(coeffs)
+    # every B_r with 2 <= r <= n from one pass over the power sums
+    terms = {r: Fraction(num, den) for r, num, den in kernels.schwarz_terms(coeffs, len(coeffs))}
     max_root = max((abs(d) for d in roots.roots), default=0.0)
     imag_limit = IMAG_SCALE * (1.0 + _saturating_float(sum(abs(x) for x in coeffs)))
     rows = []
     for r in r_values:
-        exact = binomial_sum(coeffs, r)
+        exact = terms[r] if r in terms else binomial_sum(coeffs, r)
         numeric = binomial_sum_numeric(coeffs, r, roots)
         kappa = (1.0 + max_root) ** r
         flagged = (

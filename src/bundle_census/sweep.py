@@ -272,7 +272,7 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
         rule.order is None or kernels.int64_certified(rule.order, extent)
     ):
         dtype = np.int64
-    columns, counts, failing = _classify(spec.bounds, rule, start, stop, dtype)
+    columns, counts, failing = _classify(spec.bounds, rule, start, stop, dtype, _TERM[fmt])
     text = _RENDER[fmt](columns, counts, failing, rule.regime, extent <= _SAFE_JSON_INT)
     return Chunk(text.encode(), Counter(counts))
 
@@ -295,14 +295,17 @@ def _extent(bounds, start: int, stop: int) -> int:
     return extent
 
 
-def _classify(bounds, rule, start, stop, dtype):
+def _classify(bounds, rule, start, stop, dtype, term):
     """Classify the tuples with linear index in [start, stop) as columns.
 
     Returns (columns, counts, failing): one list of ints per class, the
-    count of each tuple, and the failing B_r as (r, "num/den") pairs keyed
-    by the tuple's position in the range.  ``dtype`` is int64 when every
-    class and index of the range and the kernel's arithmetic fit it (the
-    certificate), else ``object``: Python ints, exact at any size.
+    count of each tuple, and each tuple's failing B_r as the text of its
+    record's failing field, "" where none fails.  ``term`` is how the
+    output format writes one failing B_r: the text before the fraction,
+    as a template for r, and the text after it (see ``_TERM``).  ``dtype``
+    is int64 when every class and index of the range and the kernel's
+    arithmetic fit it (the certificate), else ``object``: Python ints,
+    exact at any size.
     """
     if dtype is object:
         # np.arange and np.divmod have no object form, and an index may pass int64
@@ -317,30 +320,41 @@ def _classify(bounds, rule, start, stop, dtype):
         else:  # a radix beyond the largest index decodes like any other, so it is clipped
             index, digit = np.divmod(index, min(hi - lo + 1, _INT64_INDEX))
         classes[:, j] = digit + lo
-    failing = {}
+    failing = [""] * len(classes)
     satisfied = True
     if rule.order is not None:
         num, den = kernels.schwarz_terms_batch(classes)
         satisfied = (den == 1).all(axis=1)
-        bad = np.flatnonzero(~satisfied)
-        for i, nums, dens in zip(bad.tolist(), num[bad].tolist(), den[bad].tolist()):
-            failing[i] = [(r, f"{n}/{d}") for r, n, d in zip(itertools.count(2), nums, dens) if d != 1]
+        if not satisfied.all():
+            # one column of r at a time, each term led by its separator,
+            # which the join leaves in front of every row's first term
+            head, tail = term
+            cols = [[f"{h}{n}/{d}{tail}" if d != 1 else "" for n, d in zip(nums, dens)]
+                    for h, nums, dens in zip(map(head.format, itertools.count(2)),
+                                             num.T.tolist(), den.T.tolist())]
+            failing = [text[1:] for text in map("".join, zip(*cols))]
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
     return classes[:, : len(bounds)].T.tolist(), counts, failing
 
 
+# one failing B_r as each format writes it: a one-character separator and
+# the text before the fraction, as a template for r, then the text after it
+_TERM = {
+    "json": (',{{"r":{},"value":"', '"}'),
+    "csv": (";{}=", ""),
+    "table": (";{}=", ""),
+}
+
+
 def _render_json(columns, counts, failing, regime, small):
     to_text = str if small else _json_class
     classes = map(",".join, zip(*(map(to_text, col) for col in columns)))
-    fails = [""] * len(counts)
-    for i, terms in failing.items():
-        fails[i] = ",".join(f'{{"r":{r},"value":"{v}"}}' for r, v in terms)
     mid = {c: f',"count":{"null" if c is None else c},"regime":"{regime}","failing_r":['
            for c in set(counts)}
     end = {c: f'],"extension":{"true" if c == 2 else "false"}}}\n' for c in set(counts)}
     return "".join([f'{{"classes":[{text}]{mid[c]}{f}{end[c]}'
-                    for text, c, f in zip(classes, counts, fails)])
+                    for text, c, f in zip(classes, counts, failing)])
 
 
 def _json_class(c: int) -> str:
@@ -349,27 +363,18 @@ def _json_class(c: int) -> str:
 
 def _render_csv(columns, counts, failing, regime, small):
     classes = map(";".join, zip(*(map(str, col) for col in columns)))
-    fails = _plain_failing(len(counts), failing)
     mid = {c: f",{'unknown' if c is None else c},{regime}," for c in set(counts)}
     end = {c: f",{'true' if c == 2 else 'false'}\n" for c in set(counts)}
-    return "".join([f"{text}{mid[c]}{f}{end[c]}" for text, c, f in zip(classes, counts, fails)])
+    return "".join([f"{text}{mid[c]}{f}{end[c]}" for text, c, f in zip(classes, counts, failing)])
 
 
 def _render_table(columns, counts, failing, regime, small):
     width = table_width(len(columns))
-    fails = _plain_failing(len(counts), failing)
     return "".join([
         f"{str(row):<{width}} {'unknown' if c is None else c:>7} {regime:<13} "
         f"{f:<20} {'yes' if c == 2 else 'no'}\n"
-        for row, c, f in zip(zip(*columns), counts, fails)
+        for row, c, f in zip(zip(*columns), counts, failing)
     ])
-
-
-def _plain_failing(n: int, failing) -> list[str]:
-    fails = [""] * n
-    for i, terms in failing.items():
-        fails[i] = ";".join(f"{r}={v}" for r, v in terms)
-    return fails
 
 
 _RENDER = {"json": _render_json, "csv": _render_csv, "table": _render_table}

@@ -73,6 +73,14 @@ class TestBinomialSumNumeric:
             want = math.comb(300, r) + math.comb(250, r)
             assert binomial_sum_numeric(ChernVector(2, 3, (550, 75000)), r).real == pytest.approx(want, rel=1e-9)
 
+    def test_falling_factorial_past_float_range(self):
+        # roots 300 and 250: their falling factorials pass the float range
+        # while r! is still a float, which used to give inf/inf = nan
+        for r in (130, 150, 170):
+            value = binomial_sum_numeric(ChernVector(2, 3, (550, 75000)), r)
+            assert cmath.isfinite(value)
+            assert value.real == pytest.approx(math.comb(300, r) + math.comb(250, r), rel=1e-9)
+
 
 class TestAgreement:
     def test_diagnostic_rows(self):
@@ -94,6 +102,16 @@ class TestAgreement:
                 assert row.difference < row.tolerance, (coeffs, row)
         assert checked > 0
         assert flagged <= checked // 50
+
+    def test_exact_side_is_binomial_sum(self):
+        # r from 2 to n comes from one kernel pass, r = 1 and r = n + 1 one r at a time
+        rng = random.Random(7)
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            coeffs = tuple(rng.randint(-50, 50) for _ in range(n))
+            _, rows = compare_exact_numeric(coeffs, range(1, n + 2))
+            assert [row.r for row in rows] == list(range(1, n + 2))
+            assert all(row.exact == binomial_sum(coeffs, row.r) for row in rows), coeffs
 
     def test_imaginary_part_small(self):
         rng = random.Random(99)

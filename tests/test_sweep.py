@@ -77,6 +77,8 @@ BOXES = {
     "stable_range": (3, 2, ((-9, 9), (-9, 9))),
     "corank_one_rank2": (2, 3, ((-12, 12), (-12, 12))),
     "corank_one_rank4": (4, 5, ((-5, 5), (-5, 5), (-2, 2), (0, 2))),
+    # most tuples fail S_7 at several r
+    "corank_one_rank6": (6, 7, ((-3, 3),) * 3 + ((0, 0),) * 2 + ((0, 1),)),
     "unsupported": (3, 6, ((-4, 4), (-4, 4), (0, 3))),
     "straddles_certificate": (2, 3, ((EDGE3 - 2, EDGE3 + 2), (-60, 60))),
     "straddles_negative": (2, 3, ((-EDGE3 - 1, -EDGE3 + 1), (-90, 90))),
@@ -115,6 +117,36 @@ def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
         swept(spec, "json")
         assert len(dtypes) == -(-spec.tuple_count() // sweep.CHUNK), box
         assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}, box
+
+
+# rank 6 on CP^7: B_r is not an integer for any r in 3..7.  B_2 = C(c_1, 2) - c_2
+# is always one, so N - 2 failing terms is the most a tuple of S_N can have.
+FAILS_EVERY_R = (-3, -3, -2, -3, 0, 0)
+
+
+@pytest.mark.parametrize("fmt", sweep.FORMATS)
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, dtype, monkeypatch):
+    if dtype is object:
+        monkeypatch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
+    dtypes = []
+    batch = kernels.schwarz_terms_batch
+    monkeypatch.setattr(kernels, "schwarz_terms_batch",
+                        lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+    spec = SweepSpec(6, 7, tuple((c, c) for c in FAILS_EVERY_R))
+    got = sweep.render_chunk(spec, fmt, 0, 1).data.decode()
+    assert dtypes == [np.dtype(dtype)]
+    terms = [(r, f"{n}/{d}") for r, n, d in kernels.schwarz_terms(FAILS_EVERY_R + (0,), 7)
+             if d != 1]
+    assert [r for r, _ in terms] == [3, 4, 5, 6, 7]
+    if fmt == "json":
+        field = '"failing_r":' + json.dumps([{"r": r, "value": v} for r, v in terms],
+                                            separators=(",", ":"))
+    else:
+        field = ";".join(f"{r}={v}" for r, v in terms)
+    assert field in got
+    record = sweep.evaluate_classes(6, 7, FAILS_EVERY_R)
+    assert got.encode() == render_reference([record], len(FAILS_EVERY_R), fmt)
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
