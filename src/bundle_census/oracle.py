@@ -2,10 +2,11 @@
 
 Finds the Chern roots delta_j numerically (companion-matrix eigenvalues
 via numpy, then Newton polishing), evaluates sum_j C(delta_j, r) directly,
-and compares against the exact symmetric-function route.  This catches
-sign-convention and recurrence bugs, but it never decides integrality:
-that is exactly the question floating point cannot answer, so near-integer
-values are reported with diagnostics only.
+every r at once from one cumulative product over the roots, and compares
+against the exact symmetric-function route.  This catches sign-convention
+and recurrence bugs, but it never decides integrality: that is exactly the
+question floating point cannot answer, so near-integer values are
+reported with diagnostics only.
 
 Results carry reliability flags instead of silently degrading: a large
 root residual, a conditioning estimate beyond the trustworthy range, or an
@@ -15,10 +16,8 @@ letting it masquerade as a disagreement.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,36 +124,29 @@ def find_roots(c: ClassData, polish_steps: int = 4) -> NumericRoots:
     )
 
 
-def binomial_sum_numeric(c: ClassData, r: int, roots: Optional[NumericRoots] = None) -> complex:
-    """sum_j delta_j (delta_j - 1) ... (delta_j - r + 1) / r! in floating point.
+def binomial_sums_numeric(roots: NumericRoots, r_max: int) -> np.ndarray:
+    """sum_j C(delta_j, r) for r = 1..r_max in floating point; entry r - 1 holds B_r.
 
-    The sum is real up to rounding (roots come in conjugate pairs); the
-    imaginary part is left in place so callers can check it against
-    tolerance instead of trusting a silent projection.
+    Each C(delta_j, r) is built one factor (delta_j - i)/(i + 1) at a time
+    by a cumulative product along r, so r! never forms and a value leaves
+    the float range only when the binomial itself does.  The sums are real
+    up to rounding (roots come in conjugate pairs); the imaginary parts are
+    left in place so callers can check them against tolerance instead of
+    trusting a silent projection.
     """
+    deltas = np.asarray(roots.roots, dtype=np.complex128)
+    i = np.arange(r_max, dtype=np.float64)
+    factors = deltas[:, None] - i
+    factors /= i + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumprod(factors, axis=1, out=factors).sum(axis=0)
+
+
+def binomial_sum_numeric(c: ClassData, r: int, roots: Optional[NumericRoots] = None) -> complex:
+    """sum_j delta_j (delta_j - 1) ... (delta_j - r + 1) / r! in floating point."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    if roots is None:
-        roots = find_roots(c)
-    # r! passes the float range from r = 171, and the falling factorials of
-    # large roots pass it sooner; past either each term is C(delta, r)
-    # built one factor (delta - i)/(i + 1) at a time
-    if r <= 170:
-        total = _root_sum(roots, r, stepwise=False) / float(factorial(r))
-        if cmath.isfinite(total):
-            return total
-    return _root_sum(roots, r, stepwise=True)
-
-
-def _root_sum(roots: NumericRoots, r: int, stepwise: bool) -> complex:
-    """sum_j delta_j (delta_j - 1) ... (delta_j - r + 1), or of C(delta_j, r) if ``stepwise``."""
-    total = 0j
-    for delta in roots.roots:
-        term = 1 + 0j
-        for i in range(r):
-            term *= (delta - i) / (i + 1) if stepwise else delta - i
-        total += term
-    return total
+    return complex(binomial_sums_numeric(roots if roots is not None else find_roots(c), r)[r - 1])
 
 
 def _saturating_float(x: int) -> float:
@@ -166,16 +158,20 @@ def _saturating_float(x: int) -> float:
 
 def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[NumericRoots, list[AgreementRow]]:
     """Exact and numeric B_r side by side for each requested r."""
+    r_values = list(r_values)
+    if any(r < 1 for r in r_values):
+        raise ValueError(f"need r >= 1, got {min(r_values)}")
     coeffs = coefficients(c)
     roots = find_roots(coeffs)
     # every B_r with 2 <= r <= n from one pass over the power sums
     terms = {r: Fraction(num, den) for r, num, den in kernels.schwarz_terms(coeffs, len(coeffs))}
+    numerics = binomial_sums_numeric(roots, max(r_values, default=0)).tolist()
     max_root = max((abs(d) for d in roots.roots), default=0.0)
     imag_limit = IMAG_SCALE * (1.0 + _saturating_float(sum(abs(x) for x in coeffs)))
     rows = []
     for r in r_values:
         exact = terms[r] if r in terms else binomial_sum(coeffs, r)
-        numeric = binomial_sum_numeric(coeffs, r, roots)
+        numeric = numerics[r - 1]
         kappa = (1.0 + max_root) ** r
         flagged = (
             not roots.reliable

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundle_census import (
     ChernVector,
@@ -14,7 +16,22 @@ from bundle_census import (
     compare_exact_numeric,
     find_roots,
 )
-from bundle_census.oracle import IMAG_SCALE, RESIDUAL_SCALE
+from bundle_census.oracle import (
+    AGREE_TOL,
+    CONDITION_CAP,
+    IMAG_SCALE,
+    RESIDUAL_SCALE,
+    binomial_sums_numeric,
+)
+from oracles import binomial_sum_numeric_reference
+
+# classes up to order 60 with |c_i| <= 10^3: roots up to about 10^3, so
+# every C(delta, r) with r <= N + 1 stays inside the float range
+classes_st = st.lists(st.integers(-1000, 1000), min_size=1, max_size=60).map(tuple)
+
+
+def assert_close(got, want, context):
+    assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), context
 
 
 def test_integer_roots_recovered():
@@ -82,7 +99,67 @@ class TestBinomialSumNumeric:
             assert value.real == pytest.approx(math.comb(300, r) + math.comb(250, r), rel=1e-9)
 
 
+class TestBinomialSumsNumeric:
+    """Every B_r from one cumulative product, held to the one-r-at-a-time reference."""
+
+    @settings(max_examples=60)
+    @given(classes_st)
+    def test_matches_reference(self, classes):
+        roots = find_roots(classes)
+        n = len(classes)
+        got = binomial_sums_numeric(roots, n + 1)
+        assert got.shape == (n + 1,)
+        for r in range(1, n + 2):
+            assert_close(got[r - 1], binomial_sum_numeric_reference(roots.roots, r), (classes, r))
+
+    def test_large_roots_past_float_factorial(self):
+        # roots 300 and 250: the falling factorials pass the float range
+        # from about r = 130, and r! from r = 171
+        roots = find_roots(ChernVector(2, 3, (550, 75000)))
+        rs = (1, 2, 3, 130, 170, 171, 200, 240, 300, 301, 320)
+        got = binomial_sums_numeric(roots, max(rs))
+        for r in rs:
+            assert_close(got[r - 1], binomial_sum_numeric_reference(roots.roots, r), r)
+            assert got[r - 1].real == pytest.approx(math.comb(300, r) + math.comb(250, r), rel=1e-9, abs=1e-9)
+
+    def test_wrapper_indexes_the_same_pass(self):
+        roots = find_roots((3, -7, 2, 9))
+        sums = binomial_sums_numeric(roots, 6)
+        assert [binomial_sum_numeric((3, -7, 2, 9), r, roots) for r in range(1, 7)] == sums.tolist()
+
+
+def reference_rows(classes, r_values):
+    """(flagged, agrees) per r as compare_exact_numeric decides them, on the reference loop."""
+    roots = find_roots(classes)
+    max_root = max(abs(d) for d in roots.roots)
+    imag_limit = IMAG_SCALE * (1.0 + sum(abs(x) for x in classes))
+    out = []
+    for r in r_values:
+        numeric = binomial_sum_numeric_reference(roots.roots, r)
+        kappa = (1.0 + max_root) ** r
+        flagged = not roots.reliable or kappa > CONDITION_CAP or abs(numeric.imag) > imag_limit
+        difference = abs(numeric - float(binomial_sum(classes, r)))
+        out.append((flagged, flagged or difference < AGREE_TOL * kappa))
+    return out
+
+
 class TestAgreement:
+    @settings(max_examples=60)
+    @given(classes_st)
+    def test_status_matches_reference_loop(self, classes):
+        r_values = range(1, len(classes) + 2)
+        _, rows = compare_exact_numeric(classes, r_values)
+        assert [(row.flagged, row.agrees) for row in rows] == reference_rows(classes, r_values)
+
+    def test_rejects_bad_degree(self):
+        for r_values in ([0], [2, 0, 3], [-1]):
+            with pytest.raises(ValueError):
+                compare_exact_numeric((5, 6, 0), r_values)
+
+    def test_no_degrees_no_rows(self):
+        roots, rows = compare_exact_numeric((5, 6, 0), [])
+        assert rows == [] and roots.reliable
+
     def test_diagnostic_rows(self):
         _, rows = compare_exact_numeric((5, 6, 0), range(2, 4))
         assert all(row.agrees and not row.flagged for row in rows)
