@@ -23,7 +23,7 @@ from . import __version__, kernels
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
-from .sweep import (FORMATS, MAX_JOBS, BoxTooLarge, LaneDied, SweepSpec, header, parse_bounds,
+from .sweep import (FORMATS, MAX_JOBS, LaneDied, SweepSpec, check_cap, header, parse_bounds,
                     sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_check(args) -> int:
+def _condition_input(args) -> tuple[tuple[int, ...], int]:
+    """The classes and order N of ``check`` and ``diagnose``, refused if unusable."""
     classes = parse_classes(args.classes)
     N = args.N if args.N is not None else len(classes)
     if N < 1:
@@ -117,6 +118,11 @@ def cmd_check(args) -> int:
             "pad with explicit zeros if your rank is smaller"
         )
     _admit(N, classes)
+    return classes, N
+
+
+def cmd_check(args) -> int:
+    classes, N = _condition_input(args)
     report = check_schwarzenberger(classes, N)
     print(f"S_{N} for classes {classes}")
     for term in report.values:
@@ -152,27 +158,20 @@ def cmd_sweep(args) -> int:
             jobs=args.jobs,
             max_tuples=args.max_tuples,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    try:
-        spec.cap()  # surface a malformed cap override before any work
+        total = check_cap(spec)  # an oversize box or a malformed cap, before any output
     except ValueError as exc:
         raise UsageError(str(exc))
     _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in bounds for x in bound])
-    total = spec.tuple_count()
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
           f"jobs={spec.jobs}", file=sys.stderr)
     out = sys.stdout.buffer
     totals = Counter()
-    try:
-        out.write(header(args.format, len(bounds)).encode())
-        # closing: a failed write stops the worker lanes at once
-        with closing(sweep_chunks(spec, args.format)) as chunks:
-            for chunk in chunks:
-                out.write(chunk.data)
-                totals.update(chunk.counts)
-    except BoxTooLarge as exc:
-        raise UsageError(str(exc))
+    out.write(header(args.format, len(bounds)).encode())
+    # closing: a failed write stops the worker lanes at once
+    with closing(sweep_chunks(spec, args.format)) as chunks:
+        for chunk in chunks:
+            out.write(chunk.data)
+            totals.update(chunk.counts)
     if args.format == "json":
         line = json.dumps({"summary": _summary(total, totals)}, separators=(",", ":"))
         out.write(f"{line}\n".encode())
@@ -200,13 +199,7 @@ def _render_summary(total: int, totals: dict) -> str:
 
 
 def cmd_diagnose(args) -> int:
-    classes = parse_classes(args.classes)
-    N = args.N if args.N is not None else len(classes)
-    if N < 1:
-        raise UsageError(f"--N must be >= 1, got {N}")
-    if len(classes) != N:
-        raise UsageError(f"S_{N} needs exactly {N} classes, got {len(classes)}")
-    _admit(N, classes)
+    classes, N = _condition_input(args)
     roots, rows = compare_exact_numeric(classes, range(2, N + 1))
     print(f"root residual: {roots.residual:.3e} "
           f"({'reliable' if roots.reliable else 'UNRELIABLE'})")

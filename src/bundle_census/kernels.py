@@ -86,20 +86,16 @@ def certificate_below(order: int, max_abs: int, limit: int) -> bool:
     return bound < limit
 
 
-def _exact_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _weights(order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order,
-    # as Python ints: both leave int64 from r = 21
+    # built as Python ints and cast: both leave int64 from r = 21, past every
+    # order the certificate admits (N <= 19)
     stirling = np.zeros((max(order - 1, 0), order), dtype=object)
     for r in range(2, order + 1):
         stirling[r - 2, :r] = stirling_row(r)[1:]
     factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=object).reshape(-1, 1)
-    return stirling, factorials
-
-
-@cache
-def _int64_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # only orders the certificate admits (N <= 19), where every weight fits
-    stirling, factorials = (w.astype(np.int64) for w in _exact_weights(order))
+    stirling, factorials = stirling.astype(dtype), factorials.astype(dtype)
     stirling.flags.writeable = factorials.flags.writeable = False
     return stirling, factorials
 
@@ -118,13 +114,12 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T, order = classes.shape
     if classes.dtype == object:
         c = np.ascontiguousarray(classes.T)
-        stirling, factorials = _exact_weights(order)
     else:
         max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
         if not int64_certified(order, max_abs):
             raise ValueError(f"S_{order} with |c_i| up to {max_abs} is not int64-certified")
         c = np.ascontiguousarray(classes.T, dtype=np.int64)
-        stirling, factorials = _int64_weights(order)
+    stirling, factorials = _weights(order, c.dtype)
     # Newton's identities, one row of power sums at a time
     p = np.empty_like(c)
     for k in range(1, order + 1):

@@ -3,10 +3,12 @@
 Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
-CHUNK tuples.  Each range is decoded into a column array of classes, run
-through the batch kernel (on int64 columns when its overflow certificate
-holds, else on columns of Python ints) and rendered straight to the bytes
-of its records.  With more than one job the ranges are dealt
+CHUNK tuples.  Each range is decoded once into a column array of classes
+(int64 when its indices and the box's ends fit, else Python ints).  The
+largest |c_i| read off those classes decides the rest: the batch kernel
+runs on int64 columns when its overflow certificate holds for that
+extent, else on columns of Python ints, and the records are rendered
+straight to bytes.  With more than one job the ranges are dealt
 round-robin to lanes: the calling process renders its own share and each
 worker lane streams its finished bytes down one pipe.  Ranges are always
 yielded in index order, so output is deterministic and independent of the
@@ -40,7 +42,8 @@ MAX_JOBS = 16
 # worker's result is tens of kB
 CHUNK = 256
 FORMATS = ("json", "csv", "table")
-# linear indices below this fit int64 with room for the decoding arithmetic
+# a chunk is decoded in int64 when its indices and every interval end are
+# below this in absolute value: every radix hi - lo + 1 then fits it too
 _INT64_INDEX = 2**62
 
 # largest integer JSON readers with double-precision parsers keep exact
@@ -157,7 +160,8 @@ def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
 
 
-def _check_cap(spec: SweepSpec) -> int:
+def check_cap(spec: SweepSpec) -> int:
+    """The box's tuple count; BoxTooLarge if it exceeds the cap."""
     total = spec.tuple_count()
     cap = spec.cap()
     if total > cap:
@@ -176,7 +180,7 @@ def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
     ``sweep_chunks``, the bulk path, to.  Raises BoxTooLarge before doing
     any work if the box exceeds the cap.
     """
-    _check_cap(spec)
+    check_cap(spec)
     for classes in iter_box(spec.bounds):
         yield evaluate_classes(spec.rank, spec.dim, classes)
 
@@ -199,7 +203,7 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    yield from _lanes(spec, fmt, _check_cap(spec), CHUNK)
+    yield from _lanes(spec, fmt, check_cap(spec), CHUNK)
 
 
 def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
@@ -266,63 +270,37 @@ def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
     """Records of the tuples with linear index in [start, stop), as bytes."""
     rule = counting_rule(spec.rank, spec.dim)
-    extent = _extent(spec.bounds, start, stop)
-    dtype = object
-    if stop <= _INT64_INDEX and extent < kernels.INT64_LIMIT and (
-        rule.order is None or kernels.int64_certified(rule.order, extent)
-    ):
-        dtype = np.int64
-    columns, counts, failing = _classify(spec.bounds, rule, start, stop, dtype, _TERM[fmt])
+    columns, counts, failing, extent = _classify(spec.bounds, rule, start, stop, _TERM[fmt])
     text = _RENDER[fmt](columns, counts, failing, rule.regime, extent <= _SAFE_JSON_INT)
     return Chunk(text.encode(), Counter(counts))
 
 
-def _extent(bounds, start: int, stop: int) -> int:
-    """Largest |c_i| over the tuples with linear index in [start, stop)."""
-    extent = 0
-    weight = 1  # tuples per step of the current coordinate
-    for lo, hi in reversed(bounds):
-        radix = hi - lo + 1
-        first, last = start // weight, (stop - 1) // weight
-        if last - first + 1 >= radix:
-            ends = (lo, hi)
-        elif first // radix == last // radix:
-            ends = (lo + first % radix, lo + last % radix)
-        else:  # the digit wraps from hi round to lo
-            ends = (lo + first % radix, hi, lo, lo + last % radix)
-        extent = max(extent, *map(abs, ends))
-        weight *= radix
-    return extent
-
-
-def _classify(bounds, rule, start, stop, dtype, term):
+def _classify(bounds, rule, start, stop, term):
     """Classify the tuples with linear index in [start, stop) as columns.
 
-    Returns (columns, counts, failing): one list of ints per class, the
-    count of each tuple, and each tuple's failing B_r as the text of its
-    record's failing field, "" where none fails.  ``term`` is how the
-    output format writes one failing B_r: the text before the fraction,
-    as a template for r, and the text after it (see ``_TERM``).  ``dtype``
-    is int64 when every class and index of the range and the kernel's
-    arithmetic fit it (the certificate), else ``object``: Python ints,
-    exact at any size.
+    Returns (columns, counts, failing, extent): one list of ints per
+    class, the count of each tuple, each tuple's failing B_r as the text
+    of its record's failing field ("" where none fails), and the largest
+    |c_i| of the range.  ``term`` is how the output format writes one
+    failing B_r: the text before the fraction, as a template for r, and
+    the text after it (see ``_TERM``).  The range is decoded once, in
+    int64 when every index and interval end fits it, else in Python ints;
+    the kernel then runs in int64 when the decoded classes satisfy its
+    certificate, else on Python ints, exact at any size.
     """
-    if dtype is object:
-        # np.arange and np.divmod have no object form, and an index may pass int64
-        index = np.array(range(start, stop), dtype=object)
-    else:
-        index = np.arange(start, stop, dtype=np.int64)
-    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=dtype)
+    fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
+    index = np.arange(start, stop, dtype=np.int64 if fits else object)
+    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)
     for j in range(len(bounds) - 1, -1, -1):
         lo, hi = bounds[j]
-        if dtype is object:
-            index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
-        else:  # a radix beyond the largest index decodes like any other, so it is clipped
-            index, digit = np.divmod(index, min(hi - lo + 1, _INT64_INDEX))
+        index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
         classes[:, j] = digit + lo
+    extent = max(-int(classes.min()), int(classes.max()))
     failing = [""] * len(classes)
     satisfied = True
     if rule.order is not None:
+        certified = kernels.int64_certified(rule.order, extent)
+        classes = classes.astype(np.int64 if certified else object, copy=False)
         num, den = kernels.schwarz_terms_batch(classes)
         satisfied = (den == 1).all(axis=1)
         if not satisfied.all():
@@ -335,7 +313,7 @@ def _classify(bounds, rule, start, stop, dtype, term):
             failing = [text[1:] for text in map("".join, zip(*cols))]
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
-    return classes[:, : len(bounds)].T.tolist(), counts, failing
+    return classes[:, : len(bounds)].T.tolist(), counts, failing, extent
 
 
 # one failing B_r as each format writes it: a one-character separator and

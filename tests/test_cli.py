@@ -134,6 +134,15 @@ class TestSweepCommand:
         assert proc.returncode == 2
         assert "cap" in proc.stderr
 
+    @pytest.mark.parametrize("fmt", sweep.FORMATS)
+    def test_oversize_box_writes_nothing(self, fmt, capsysbinary):
+        # refused before the header line, like every other usage error
+        assert cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds", "-2:2,-2:2",
+                         "--max-tuples", "10", "--format", fmt]) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert err.decode().startswith("error: box holds 25 tuples, above the cap of 10")
+
     def test_too_many_jobs_rejected(self, capsys):
         # in-process: the spec is refused before any worker could start
         code = cli.main(["sweep", "--rank", "2", "--dim", "3",

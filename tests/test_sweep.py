@@ -83,6 +83,9 @@ BOXES = {
     "straddles_certificate": (2, 3, ((EDGE3 - 2, EDGE3 + 2), (-60, 60))),
     "straddles_negative": (2, 3, ((-EDGE3 - 1, -EDGE3 + 1), (-90, 90))),
     "big_line_bundle": (1, 2, ((BIG - 300, BIG + 300),)),
+    # ends either side of the int64 decoding limit
+    "line_bundle_at_2_62": (1, 2, ((2**62 - 3, 2**62 + 3),)),
+    "line_bundle_at_minus_2_62": (1, 2, ((-(2**62) - 3, -(2**62) + 3),)),
     "big_classes": (2, 3, ((BIG - 4, BIG + 4), (-(2**70), -(2**70) + 5))),
     # S_21, whose Stirling weights and 21! leave int64
     "order_21": (20, 21, ((-2, 2), (-1, 1), (0, 1)) + ((0, 0),) * 16 + ((-1, 1),)),
@@ -164,6 +167,41 @@ def test_decodes_indices_past_int64(fmt):
     got = sweep.render_chunk(spec, fmt, start, total)
     assert got.data == render_reference(records, 2, fmt)
     assert got.counts == Counter(rec.count for rec in records)
+
+
+def decode(index, bounds):
+    """The tuple at linear ``index`` of the box, by Python integer arithmetic."""
+    digits = []
+    for lo, hi in reversed(bounds):
+        index, digit = divmod(index, hi - lo + 1)
+        digits.append(lo + digit)
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("fmt", sweep.FORMATS)
+@pytest.mark.parametrize("bounds, kernel_dtypes", [
+    # an end past int64: decoded on Python ints, whose small classes at
+    # the start still run the int64 kernel
+    (((-2, 2**63), (-5, 5)), (np.int64, object)),
+    # the widest interval decoded in int64, its radix 2^63 - 1
+    (((-5, 5), (1 - 2**62, 2**62 - 1)), (object, object)),
+])
+def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypatch):
+    spec = SweepSpec(2, 3, bounds, max_tuples=2**68)
+    total = spec.tuple_count()
+    assert total > sweep._INT64_INDEX
+    dtypes = []
+    batch = kernels.schwarz_terms_batch
+    monkeypatch.setattr(kernels, "schwarz_terms_batch",
+                        lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+    for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
+        records = [sweep.evaluate_classes(2, 3, decode(i, bounds)) for i in range(start, stop)]
+        dtypes.clear()
+        got = sweep.render_chunk(spec, fmt, start, stop)
+        assert dtypes == [np.dtype(dtype)]
+        assert got.data == render_reference(records, 2, fmt)
+        assert got.counts == Counter(rec.count for rec in records)
+    assert records[-1].classes == tuple(hi for lo, hi in bounds)
 
 
 @pytest.mark.parametrize("box", ["corank_one_rank2", "straddles_certificate", "big_classes"])
@@ -345,15 +383,25 @@ def test_cli_output_matches_reference(fmt, capsysbinary):
 
 
 @given(
-    bounds=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 6)), min_size=1, max_size=4),
+    bounds=st.lists(
+        st.tuples(st.sampled_from([-EDGE3, 0, EDGE3]), st.integers(-4, 4), st.integers(0, 5)),
+        min_size=2, max_size=2),
     data=st.data(),
 )
-@settings(max_examples=300)
-def test_extent_is_the_largest_class_of_the_range(bounds, data):
-    # the int64 path is chosen from this bound, so it must never fall short
-    bounds = tuple((lo, lo + width) for lo, width in bounds)
+@settings(max_examples=200, deadline=None)
+def test_kernel_dtype_follows_the_certificate_on_the_range(bounds, data):
+    # the largest |c_i| of the decoded range alone picks the kernel's dtype
+    bounds = tuple((centre + offset, centre + offset + width) for centre, offset, width in bounds)
     tuples = list(iter_box(bounds))
     start = data.draw(st.integers(0, len(tuples) - 1))
     stop = data.draw(st.integers(start + 1, len(tuples)))
-    want = max(abs(c) for t in tuples[start:stop] for c in t)
-    assert sweep._extent(bounds, start, stop) == want
+    dtypes = []
+    batch = kernels.schwarz_terms_batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "schwarz_terms_batch",
+                      lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+        got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
+    extent = max(abs(c) for t in tuples[start:stop] for c in t)
+    assert dtypes == [np.dtype(np.int64 if kernels.int64_certified(3, extent) else object)]
+    records = [sweep.evaluate_classes(2, 3, t) for t in tuples[start:stop]]
+    assert got.data == render_reference(records, 2, "json")
