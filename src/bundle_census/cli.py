@@ -23,8 +23,8 @@ from . import __version__, kernels
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
-from .sweep import (FORMATS, MAX_JOBS, LaneDied, SweepSpec, check_cap, header, parse_bounds,
-                    sweep_chunks)
+from .sweep import (DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, check_cap, header,
+                    parse_bounds, sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--bounds", required=True,
                          help='one interval per class: "lo:hi,lo:hi,..."')
     p_sweep.add_argument("--format", choices=FORMATS, default="table")
-    p_sweep.add_argument("--max-tuples", type=int, default=None,
-                         help="override the sweep size cap")
+    p_sweep.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES,
+                         help="the most tuples a box may hold (default: %(default)s)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help=f"lanes, 1 to {MAX_JOBS}: this process and N-1 worker processes")
 
@@ -158,7 +158,7 @@ def cmd_sweep(args) -> int:
             jobs=args.jobs,
             max_tuples=args.max_tuples,
         )
-        total = check_cap(spec)  # an oversize box or a malformed cap, before any output
+        total = check_cap(spec)  # an oversize box, before any output
     except ValueError as exc:
         raise UsageError(str(exc))
     _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in bounds for x in bound])
@@ -257,6 +257,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_value_flags(argv))
+    # argparse in Python 3.11 and earlier stores [] for an option given "--"
+    # as its value, bypassing the option's type
+    dashed = [name for name, value in vars(args).items() if value == []]
+    if dashed:
+        parser.error(f"argument --{dashed[0].replace('_', '-')}: expected one argument")
     handler = {
         "check": cmd_check,
         "count": cmd_count,

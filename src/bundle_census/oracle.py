@@ -32,6 +32,8 @@ RESIDUAL_SCALE = 1e-8
 IMAG_SCALE = 1e-8
 AGREE_TOL = 1e-6
 CONDITION_CAP = 1e12
+# damped Newton steps refining numpy's roots
+POLISH_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class AgreementRow:
         return abs(real - round(real))
 
 
-def find_roots(c: ClassData, polish_steps: int = 4) -> NumericRoots:
+def find_roots(c: ClassData) -> NumericRoots:
     """All n roots delta_j of y^n + c_1 y^(n-1) + ... + c_n, with residual.
 
     numpy's companion-matrix eigenvalues are refined by damped Newton steps
@@ -103,7 +105,7 @@ def find_roots(c: ClassData, polish_steps: int = 4) -> NumericRoots:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         zeros = np.roots(poly).astype(np.complex128)
         values = np.polyval(poly, zeros)
-        for _ in range(polish_steps):
+        for _ in range(POLISH_STEPS):
             derivs = np.polyval(dpoly, zeros)
             ok = np.abs(derivs) > 0
             step = np.zeros_like(zeros)

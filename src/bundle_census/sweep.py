@@ -19,22 +19,19 @@ path.
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import operator
-import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .chern import ChernVector
-from .enumeration import count_bundles, counting_rule
+from .enumeration import BundleCount, count_bundles, counting_rule
 
 DEFAULT_MAX_TUPLES = 10_000_000
-MAX_TUPLES_ENV = "BUNDLE_CENSUS_MAX_TUPLES"
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
@@ -51,7 +48,7 @@ _SAFE_JSON_INT = 2**53 - 1
 
 
 class BoxTooLarge(ValueError):
-    """Sweep box exceeds the tuple cap and no override was given."""
+    """Sweep box holds more tuples than its cap."""
 
 
 class LaneDied(RuntimeError):
@@ -66,7 +63,7 @@ class SweepSpec:
     dim: int
     bounds: tuple[tuple[int, int], ...]
     jobs: int = 1
-    max_tuples: Optional[int] = None
+    max_tuples: int = DEFAULT_MAX_TUPLES
 
     def __post_init__(self):
         if self.rank < 1 or self.dim < 1:
@@ -89,70 +86,10 @@ class SweepSpec:
             total *= hi - lo + 1
         return total
 
-    def cap(self) -> int:
-        if self.max_tuples is not None:
-            return self.max_tuples
-        env = os.environ.get(MAX_TUPLES_ENV)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ValueError(f"{MAX_TUPLES_ENV} must be an integer, got {env!r}")
-        return DEFAULT_MAX_TUPLES
 
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One classified tuple: count summary plus the non-integral B_r values."""
-
-    classes: tuple[int, ...]
-    count: Optional[int]
-    regime: str
-    failing: tuple[tuple[int, str], ...]
-    extension: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": [_json_int(c) for c in self.classes],
-            "count": self.count,
-            "regime": self.regime,
-            "failing_r": [{"r": r, "value": value} for r, value in self.failing],
-            "extension": self.extension,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ResultRecord":
-        return cls(
-            classes=tuple(int(c) for c in data["classes"]),
-            count=data["count"],
-            regime=data["regime"],
-            failing=tuple((int(f["r"]), str(f["value"])) for f in data["failing_r"]),
-            extension=bool(data["extension"]),
-        )
-
-
-def _json_int(x: int):
-    # beyond 53 bits a double-based JSON parser would silently round
-    return x if abs(x) <= _SAFE_JSON_INT else str(x)
-
-
-def evaluate_classes(rank: int, dim: int, classes: tuple[int, ...]) -> ResultRecord:
+def evaluate_classes(rank: int, dim: int, classes: tuple[int, ...]) -> BundleCount:
     """Classify one tuple; the per-tuple unit of sweep work."""
-    result = count_bundles(ChernVector(rank, dim, classes))
-    failing: tuple[tuple[int, str], ...] = ()
-    if result.report is not None:
-        failing = tuple(
-            (t.r, f"{t.value.numerator}/{t.value.denominator}")
-            for t in result.report.values
-            if not t.integral
-        )
-    return ResultRecord(
-        classes=tuple(classes),
-        count=result.count,
-        regime=result.regime,
-        failing=failing,
-        extension=result.extension_note is not None,
-    )
+    return count_bundles(ChernVector(rank, dim, classes))
 
 
 def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
@@ -163,17 +100,16 @@ def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
 def check_cap(spec: SweepSpec) -> int:
     """The box's tuple count; BoxTooLarge if it exceeds the cap."""
     total = spec.tuple_count()
-    cap = spec.cap()
-    if total > cap:
+    if total > spec.max_tuples:
         raise BoxTooLarge(
-            f"box holds {total} tuples, above the cap of {cap}; "
-            f"raise --max-tuples or {MAX_TUPLES_ENV} to proceed"
+            f"box holds {total} tuples, above the cap of {spec.max_tuples}; "
+            "raise --max-tuples to proceed"
         )
     return total
 
 
-def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
-    """Records for every tuple in the box, in input order, one at a time.
+def run_sweep(spec: SweepSpec) -> Iterator[BundleCount]:
+    """The verdict on every tuple in the box, in input order, one at a time.
 
     The single-tuple path: ``evaluate_classes`` on each tuple, in this
     process whatever ``spec.jobs`` says; the reference that tests hold
@@ -336,7 +272,9 @@ def _render_json(columns, counts, failing, regime, small):
 
 
 def _json_class(c: int) -> str:
-    return json.dumps(_json_int(c))
+    # beyond 53 bits a double-based JSON parser would silently round, so
+    # the class is written as a string, the bytes json.dumps gives its digits
+    return str(c) if abs(c) <= _SAFE_JSON_INT else f'"{c}"'
 
 
 def _render_csv(columns, counts, failing, regime, small):

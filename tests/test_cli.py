@@ -1,6 +1,8 @@
-"""CLI contract: exit codes, formats, round-trips, determinism."""
+"""CLI contract: exit codes, formats, determinism, malformed argv."""
 
+import contextlib
 import fcntl
+import io
 import json
 import multiprocessing
 import os
@@ -8,14 +10,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundle_census import cli, sweep
 from bundle_census.sweep import (
     MAX_JOBS,
     BoxTooLarge,
-    ResultRecord,
     SweepSpec,
-    evaluate_classes,
     parse_bounds,
     sweep_chunks,
 )
@@ -150,23 +152,6 @@ class TestSweepCommand:
         assert code == 2
         assert f"between 1 and {MAX_JOBS}" in capsys.readouterr().err
 
-    def test_env_cap_override(self):
-        proc = run_cli("sweep", "--rank", "2", "--dim", "3",
-                       "--bounds", "-2:2,-2:2", "--format", "csv",
-                       env={"BUNDLE_CENSUS_MAX_TUPLES": "10"})
-        assert proc.returncode == 2
-        proc = run_cli("sweep", "--rank", "2", "--dim", "3",
-                       "--bounds", "-2:2,-2:2", "--format", "csv",
-                       env={"BUNDLE_CENSUS_MAX_TUPLES": "100"})
-        assert proc.returncode == 0
-
-    def test_garbage_env_cap_is_usage_error(self):
-        proc = run_cli("sweep", "--rank", "2", "--dim", "3",
-                       "--bounds", "0:1,0:1",
-                       env={"BUNDLE_CENSUS_MAX_TUPLES": "lots"})
-        assert proc.returncode == 2
-        assert "BUNDLE_CENSUS_MAX_TUPLES" in proc.stderr
-
     def test_csv_shape(self):
         proc = run_cli("sweep", "--rank", "2", "--dim", "3",
                        "--bounds", "1:1,1:1", "--format", "csv")
@@ -300,26 +285,6 @@ class TestInputsOutOfReach:
         assert "above the cap" in capsys.readouterr().err
 
 
-class TestRecordRoundTrip:
-    def test_json_round_trip(self):
-        for classes in [(0, 0), (1, 1), (-3, 5)]:
-            rec = evaluate_classes(2, 3, classes)
-            again = ResultRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
-            assert again == rec
-
-    def test_unknown_round_trip(self):
-        rec = evaluate_classes(3, 6, (1, 2, 3))
-        assert rec.count is None
-        again = ResultRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict())))
-        assert again == rec
-
-    def test_big_integers_become_strings(self):
-        rec = evaluate_classes(2, 3, (2**60, 1))
-        data = rec.to_json_dict()
-        assert data["classes"][0] == str(2**60)
-        assert ResultRecord.from_json_dict(json.loads(json.dumps(data))) == rec
-
-
 class TestSweepModule:
     def test_tuple_count(self):
         spec = SweepSpec(2, 3, ((-2, 2), (-2, 2)))
@@ -376,3 +341,89 @@ class TestSweepModule:
             writer.close()
         sent = rendered[:-1]  # the last chunk rendered is the one that did not fit
         assert sent and sum(sent) <= capacity
+
+
+def run_main(argv):
+    """``cli.main`` in this process: (exit code, stdout bytes, stderr text)."""
+    err = io.StringIO()
+    with io.TextIOWrapper(io.BytesIO()) as out:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out.flush()
+        return code, out.buffer.getvalue(), err.getvalue()
+
+
+# the option that takes the command's classes or box, after the required rest
+VALUE_FLAG = {
+    "check": ["check", "--classes"],
+    "count": ["count", "--rank", "2", "--dim", "3", "--classes"],
+    "sweep": ["sweep", "--rank", "2", "--dim", "3", "--bounds"],
+    "diagnose": ["diagnose", "--classes"],
+}
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+@pytest.mark.parametrize("command", VALUE_FLAG)
+def test_double_dash_as_a_value_is_a_usage_error(command, joined):
+    # argparse in Python 3.11 hands "--" over as [] rather than as text
+    *argv, flag = VALUE_FLAG[command]
+    argv += [f"{flag}=--"] if joined else [flag, "--"]
+    code, out, err = run_main(argv)
+    assert code == 2 and out == b""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
+LONG = "9" * 4301  # past Python's default limit of 4300 digits for int()
+CLASS = st.one_of(st.integers(-3, 6), st.sampled_from([2**63, -(2**63)]))
+ODD = st.sampled_from(["", "1.5", "0x10", "1_0", ":", "2:1", "--", "0", "-3",
+                      str(2**63), LONG, f"-{LONG}"])
+
+
+def draw_value(data, good, odd=ODD):
+    """A value drawn from ``good`` seven times in eight, else from ``odd``."""
+    return data.draw(odd) if data.draw(st.integers(0, 7)) == 0 else str(data.draw(good))
+
+
+def add_option(data, argv, flag, value):
+    """Append the option as "--flag value" or as "--flag=value"."""
+    argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_any_argv_exits_with_a_documented_code(data):
+    command = data.draw(st.sampled_from(sorted(VALUE_FLAG)))
+    argv = [command]
+    if command in ("count", "sweep"):
+        # rank and dim at most 6, so no condition above S_6 is tested
+        rank, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        add_option(data, argv, "--rank", draw_value(data, st.just(rank)))
+        add_option(data, argv, "--dim", draw_value(data, st.just(dim)))
+        n = min(rank, dim)
+    else:
+        n = data.draw(st.integers(1, 6))
+        if data.draw(st.booleans()):
+            add_option(data, argv, "--N", draw_value(data, st.just(n)))
+    if data.draw(st.integers(0, 7)) == 0:
+        n = data.draw(st.integers(1, 6))  # most likely the wrong number of classes
+    if command != "sweep":
+        add_option(data, argv, "--classes", ",".join(draw_value(data, CLASS) for _ in range(n)))
+    else:
+        # at most 3 values an interval: 3^6 tuples whatever the cap
+        interval = st.tuples(CLASS, st.integers(0, 2)).map(lambda p: f"{p[0]}:{p[0] + p[1]}")
+        odd = st.one_of(ODD, st.just(f"{LONG}:{LONG}"))
+        add_option(data, argv, "--bounds",
+                   ",".join(draw_value(data, interval, odd) for _ in range(n)))
+        # --jobs is never above 1: no worker process starts
+        for flag, values in (("--format", sweep.FORMATS + ("xml",)),
+                             ("--jobs", ("1", "0", "17", "-3", "x")),
+                             ("--max-tuples", ("-1", "0", "5", "100", "x"))):
+            if data.draw(st.booleans()):
+                add_option(data, argv, flag, data.draw(st.sampled_from(values)))
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:  # usage errors come before any output
+        assert out == b"", argv

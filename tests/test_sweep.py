@@ -1,10 +1,12 @@
 """Sweep output against a reference built one tuple at a time.
 
-The reference, ``run_sweep``, runs ``evaluate_classes`` on every tuple of
-``itertools.product``; it is rendered here exactly as the record-at-a-time
-CLI did: JSON by ``json.dumps`` of the record's dict, CSV by ``csv.writer``
-and the table by its format string.  The chunked sweep must give the same bytes for every
-format, chunk size, kernel path and worker count.
+The reference, ``run_sweep``, runs ``count_bundles`` on every tuple of
+``itertools.product``; each (classes, BundleCount) pair is rendered here
+exactly as the record-at-a-time CLI did, sharing no code with the sweep's
+renderers: JSON by ``json.dumps`` of a dict built here, with classes past
+2^53 - 1 as strings, CSV by ``csv.writer`` and the table by its format
+string.  The chunked sweep must give the same bytes for every format,
+chunk size, kernel path and worker count.
 """
 
 import contextlib
@@ -31,35 +33,44 @@ from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
 
 
 def reference_records(rank, dim, bounds, fmt):
-    # run_sweep: evaluate_classes on each tuple of itertools.product
-    records = list(run_sweep(SweepSpec(rank, dim, bounds)))
-    totals = {k: sum(rec.count == k for rec in records) for k in (0, 1, 2)}
-    totals[None] = sum(rec.count is None for rec in records)
-    return render_reference(records, len(bounds), fmt), totals
+    # run_sweep: count_bundles on each tuple of itertools.product
+    pairs = list(zip(iter_box(bounds), run_sweep(SweepSpec(rank, dim, bounds))))
+    totals = {k: sum(result.count == k for _, result in pairs) for k in (0, 1, 2)}
+    totals[None] = sum(result.count is None for _, result in pairs)
+    return render_reference(pairs, len(bounds), fmt), totals
 
 
-def render_reference(records, n_classes, fmt):
+def render_reference(pairs, n_classes, fmt):
+    """The records of (classes, BundleCount) pairs, one at a time."""
     out = io.StringIO()
-    if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        for rec in records:
+    writer = csv.writer(out, lineterminator="\n")
+    width = max(20, 3 * n_classes * 3)
+    for classes, result in pairs:
+        failing = [(t.r, str(t.value)) for t in (result.report.failing() if result.report else ())]
+        extension = result.extension_note is not None
+        count = result.count if result.count is not None else "unknown"
+        if fmt == "json":
+            record = {
+                # past 2^53 - 1 a double-based JSON parser would round: a string
+                "classes": [c if abs(c) <= 2**53 - 1 else str(c) for c in classes],
+                "count": result.count,
+                "regime": result.regime,
+                "failing_r": [{"r": r, "value": v} for r, v in failing],
+                "extension": extension,
+            }
+            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+        elif fmt == "csv":
             writer.writerow([
-                ";".join(str(c) for c in rec.classes),
-                str(rec.count) if rec.count is not None else "unknown",
-                rec.regime,
-                ";".join(f"{r}={v}" for r, v in rec.failing),
-                "true" if rec.extension else "false",
+                ";".join(str(c) for c in classes),
+                str(count),
+                result.regime,
+                ";".join(f"{r}={v}" for r, v in failing),
+                "true" if extension else "false",
             ])
-    else:
-        width = max(20, 3 * n_classes * 3)
-        for rec in records:
-            failing = ";".join(f"{r}={v}" for r, v in rec.failing)
-            count = rec.count if rec.count is not None else "unknown"
-            out.write(f"{str(rec.classes):<{width}} {count!s:>7} {rec.regime:<13} "
-                      f"{failing:<20} {'yes' if rec.extension else 'no'}\n")
+        else:
+            text = ";".join(f"{r}={v}" for r, v in failing)
+            out.write(f"{str(classes):<{width}} {count!s:>7} {result.regime:<13} "
+                      f"{text:<20} {'yes' if extension else 'no'}\n")
     return out.getvalue().encode()
 
 
@@ -83,6 +94,7 @@ BOXES = {
     "straddles_certificate": (2, 3, ((EDGE3 - 2, EDGE3 + 2), (-60, 60))),
     "straddles_negative": (2, 3, ((-EDGE3 - 1, -EDGE3 + 1), (-90, 90))),
     "big_line_bundle": (1, 2, ((BIG - 300, BIG + 300),)),
+    "big_negative_line_bundle": (1, 2, ((-BIG - 3, -BIG + 3),)),
     # ends either side of the int64 decoding limit
     "line_bundle_at_2_62": (1, 2, ((2**62 - 3, 2**62 + 3),)),
     "line_bundle_at_minus_2_62": (1, 2, ((-(2**62) - 3, -(2**62) + 3),)),
@@ -148,8 +160,8 @@ def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, dtype, monkey
     else:
         field = ";".join(f"{r}={v}" for r, v in terms)
     assert field in got
-    record = sweep.evaluate_classes(6, 7, FAILS_EVERY_R)
-    assert got.encode() == render_reference([record], len(FAILS_EVERY_R), fmt)
+    pair = (FAILS_EVERY_R, sweep.evaluate_classes(6, 7, FAILS_EVERY_R))
+    assert got.encode() == render_reference([pair], len(FAILS_EVERY_R), fmt)
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
@@ -163,10 +175,10 @@ def test_decodes_indices_past_int64(fmt):
     start = total - 5
     tuples = [divmod(index, 2**40 + 1) for index in range(start, total)]
     assert tuples[-1] == (2**40, 2**40)
-    records = [sweep.evaluate_classes(2, 3, t) for t in tuples]
+    pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
     got = sweep.render_chunk(spec, fmt, start, total)
-    assert got.data == render_reference(records, 2, fmt)
-    assert got.counts == Counter(rec.count for rec in records)
+    assert got.data == render_reference(pairs, 2, fmt)
+    assert got.counts == Counter(result.count for _, result in pairs)
 
 
 def decode(index, bounds):
@@ -195,13 +207,14 @@ def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypa
     monkeypatch.setattr(kernels, "schwarz_terms_batch",
                         lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
     for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
-        records = [sweep.evaluate_classes(2, 3, decode(i, bounds)) for i in range(start, stop)]
+        tuples = [decode(i, bounds) for i in range(start, stop)]
+        pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
         dtypes.clear()
         got = sweep.render_chunk(spec, fmt, start, stop)
         assert dtypes == [np.dtype(dtype)]
-        assert got.data == render_reference(records, 2, fmt)
-        assert got.counts == Counter(rec.count for rec in records)
-    assert records[-1].classes == tuple(hi for lo, hi in bounds)
+        assert got.data == render_reference(pairs, 2, fmt)
+        assert got.counts == Counter(result.count for _, result in pairs)
+    assert tuples[-1] == tuple(hi for lo, hi in bounds)
 
 
 @pytest.mark.parametrize("box", ["corank_one_rank2", "straddles_certificate", "big_classes"])
@@ -403,5 +416,5 @@ def test_kernel_dtype_follows_the_certificate_on_the_range(bounds, data):
         got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
     extent = max(abs(c) for t in tuples[start:stop] for c in t)
     assert dtypes == [np.dtype(np.int64 if kernels.int64_certified(3, extent) else object)]
-    records = [sweep.evaluate_classes(2, 3, t) for t in tuples[start:stop]]
-    assert got.data == render_reference(records, 2, "json")
+    pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples[start:stop]]
+    assert got.data == render_reference(pairs, 2, "json")
