@@ -25,15 +25,17 @@ from .enumeration import (
     STABLE_RANGE,
     UNSUPPORTED,
     BundleCount,
+    PowerSums,
     SchwarzenbergerReport,
+    binomial_sum,
     check_schwarzenberger,
     count_bundles,
     exists_rank_n_on_cp_n_plus_1,
+    newton_power_sums,
     reduce_stable,
 )
-from .kernels import backend_name
+from .kernels import backend_name, stirling_first
 from .oracle import NumericRoots, binomial_sum_numeric, compare_exact_numeric, find_roots
-from .symfun import PowerSums, binomial_sum, newton_power_sums, stirling_first
 
 __version__ = "0.1.0"
 

@@ -23,8 +23,8 @@ from . import __version__, kernels
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
-from .sweep import (DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, check_cap, header,
-                    parse_bounds, sweep_chunks)
+from .sweep import (DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, header, parse_bounds,
+                    sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
@@ -149,24 +149,23 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    bounds = _bounds(args.bounds)
-    try:
+    try:  # an oversize box too, before any output
         spec = SweepSpec(
             rank=args.rank,
             dim=args.dim,
-            bounds=bounds,
+            bounds=parse_bounds(args.bounds),
             jobs=args.jobs,
             max_tuples=args.max_tuples,
         )
-        total = check_cap(spec)  # an oversize box, before any output
     except ValueError as exc:
         raise UsageError(str(exc))
-    _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in bounds for x in bound])
+    total = spec.tuple_count()
+    _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in spec.bounds for x in bound])
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
           f"jobs={spec.jobs}", file=sys.stderr)
     out = sys.stdout.buffer
     totals = Counter()
-    out.write(header(args.format, len(bounds)).encode())
+    out.write(header(args.format, len(spec.bounds)).encode())
     # closing: a failed write stops the worker lanes at once
     with closing(sweep_chunks(spec, args.format)) as chunks:
         for chunk in chunks:
@@ -194,8 +193,7 @@ def _summary(total: int, totals: dict) -> dict:
 
 
 def _render_summary(total: int, totals: dict) -> str:
-    return (f"total={total} count_0={totals[0]} count_1={totals[1]} "
-            f"count_2={totals[2]} unknown={totals[None]}")
+    return " ".join(f"{k}={v}" for k, v in _summary(total, totals).items())
 
 
 def cmd_diagnose(args) -> int:
@@ -225,13 +223,6 @@ def cmd_diagnose(args) -> int:
 def _vector(rank: int, dim: int, classes: tuple[int, ...]) -> ChernVector:
     try:
         return ChernVector(rank, dim, classes)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _bounds(text: str) -> tuple[tuple[int, int], ...]:
-    try:
-        return parse_bounds(text)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -17,6 +17,10 @@ sweep alike:
   next projective space.
 
 Everything else is honestly reported as unknown.
+
+Beneath the predicate sits the typed single-tuple exact API:
+``newton_power_sums`` and ``binomial_sum`` give the power sums and B_r of
+the Chern roots of one class vector, exactly, without forming a root.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import kernels
 from .chern import ChernVector
@@ -33,6 +37,60 @@ LINE_BUNDLE = "line_bundle"
 STABLE_RANGE = "stable_range"
 CORANK_ONE = "corank_one"
 UNSUPPORTED = "unsupported"
+
+ClassData = Union[ChernVector, Sequence[int]]
+
+
+@dataclass(frozen=True)
+class PowerSums:
+    """Power sums p_k = sum_j delta_j^k of the Chern roots, k = 1..R.
+
+    Each p_k is an exact integer: the roots are the roots of a monic
+    integer polynomial, so their power sums are integers even when the
+    roots themselves are irrational.
+    """
+
+    n: int
+    values: tuple[int, ...]
+
+    def p(self, k: int) -> int:
+        if not 1 <= k <= len(self.values):
+            raise ValueError(f"p_{k} not computed (have k = 1..{len(self.values)})")
+        return self.values[k - 1]
+
+
+def coefficients(c: ClassData) -> tuple[int, ...]:
+    """Monic-polynomial coefficients (c_1, ..., c_n) of the class data.
+
+    A ChernVector contributes its full rank-length classes (vanishing
+    entries restored as zeros); a plain sequence is taken as-is.
+    """
+    if isinstance(c, ChernVector):
+        return c.full_classes
+    return tuple(operator.index(x) for x in c)
+
+
+def newton_power_sums(c: ClassData, R: int) -> PowerSums:
+    """Power sums p_1..p_R of the roots of y^n + c_1 y^(n-1) + ... + c_n."""
+    coeffs = coefficients(c)
+    R = operator.index(R)
+    if R < 1:
+        raise ValueError(f"need R >= 1, got {R}")
+    return PowerSums(n=len(coeffs), values=tuple(kernels.power_sums(coeffs, R)))
+
+
+def binomial_sum(c: ClassData, r: int) -> Fraction:
+    """B_r = sum_j C(delta_j, r) over the Chern roots, as an exact Fraction.
+
+    Computed as (1/r!) sum_{k=1}^{r} s(r,k) p_k, with s(r,k) the signed
+    Stirling numbers of the first kind; integrality of these values is the
+    content of the Schwarzenberger conditions.
+    """
+    coeffs = coefficients(c)
+    r = operator.index(r)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    return Fraction(*kernels.binomial_sum_num_den(coeffs, r))
 
 
 class BinomialTerm(NamedTuple):

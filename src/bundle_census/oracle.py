@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import kernels
-from .symfun import ClassData, binomial_sum, coefficients
+from .enumeration import ClassData, binomial_sum, check_schwarzenberger, coefficients
 
 # residual / imaginary-part tolerances scale with the coefficient size;
 # the agreement tolerance scales with (1 + max|delta|)^r since that is the
@@ -166,7 +165,7 @@ def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[Numeri
     coeffs = coefficients(c)
     roots = find_roots(coeffs)
     # every B_r with 2 <= r <= n from one pass over the power sums
-    terms = {r: Fraction(num, den) for r, num, den in kernels.schwarz_terms(coeffs, len(coeffs))}
+    terms = {t.r: t.value for t in check_schwarzenberger(coeffs, len(coeffs)).values}
     numerics = binomial_sums_numeric(roots, max(r_values, default=0)).tolist()
     max_root = max((abs(d) for d in roots.roots), default=0.0)
     imag_limit = IMAG_SCALE * (1.0 + _saturating_float(sum(abs(x) for x in coeffs)))

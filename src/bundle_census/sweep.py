@@ -57,7 +57,10 @@ class LaneDied(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep request: one inclusive integer interval per stored class."""
+    """A sweep request: one inclusive integer interval per stored class.
+
+    Construction raises BoxTooLarge if the box holds over ``max_tuples``.
+    """
 
     rank: int
     dim: int
@@ -79,6 +82,12 @@ class SweepSpec:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {self.jobs}")
+        total = self.tuple_count()
+        if total > self.max_tuples:
+            raise BoxTooLarge(
+                f"box holds {total} tuples, above the cap of {self.max_tuples}; "
+                "raise --max-tuples to proceed"
+            )
 
     def tuple_count(self) -> int:
         total = 1
@@ -97,26 +106,13 @@ def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
 
 
-def check_cap(spec: SweepSpec) -> int:
-    """The box's tuple count; BoxTooLarge if it exceeds the cap."""
-    total = spec.tuple_count()
-    if total > spec.max_tuples:
-        raise BoxTooLarge(
-            f"box holds {total} tuples, above the cap of {spec.max_tuples}; "
-            "raise --max-tuples to proceed"
-        )
-    return total
-
-
 def run_sweep(spec: SweepSpec) -> Iterator[BundleCount]:
     """The verdict on every tuple in the box, in input order, one at a time.
 
     The single-tuple path: ``evaluate_classes`` on each tuple, in this
     process whatever ``spec.jobs`` says; the reference that tests hold
-    ``sweep_chunks``, the bulk path, to.  Raises BoxTooLarge before doing
-    any work if the box exceeds the cap.
+    ``sweep_chunks``, the bulk path, to.
     """
-    check_cap(spec)
     for classes in iter_box(spec.bounds):
         yield evaluate_classes(spec.rank, spec.dim, classes)
 
@@ -134,12 +130,12 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     The box's linear index is cut into ranges of CHUNK tuples, split
     across ``spec.jobs`` lanes (see ``_lanes``; the one lane of a single
     job is this process) and yielded in index order, so the bytes do not
-    depend on the worker count.  Raises BoxTooLarge before doing any work
-    if the box exceeds the cap, and LaneDied if a worker lane stops early.
+    depend on the worker count.  Raises LaneDied if a worker lane stops
+    early.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    yield from _lanes(spec, fmt, check_cap(spec), CHUNK)
+    yield from _lanes(spec, fmt, spec.tuple_count(), CHUNK)
 
 
 def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:

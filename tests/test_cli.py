@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, determinism, malformed argv."""
 
 import contextlib
+import dataclasses
 import fcntl
 import io
 import json
@@ -215,6 +216,25 @@ class TestDiagnoseCommand:
         proc = run_cli("diagnose", "--classes", "0,0,0")
         assert proc.returncode == 0
 
+    def test_disagreement_fails(self, monkeypatch, capsys):
+        # the numeric path pushed half a unit off, with an imaginary part
+        compare = cli.compare_exact_numeric
+
+        def skewed(classes, r_values):
+            roots, rows = compare(classes, r_values)
+            row = rows[0]
+            rows[0] = dataclasses.replace(row, numeric=row.numeric + 0.5 + 1e-3j, difference=0.5)
+            return roots, rows
+
+        monkeypatch.setattr(cli, "compare_exact_numeric", skewed)
+        assert cli.main(["diagnose", "--classes", "5,6,0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (row,) = [line for line in lines if line.split()[0] == "2"]
+        assert row.split()[-1] == "DISAGREE"
+        assert "+1.0e-03j" in row
+        assert [line for line in lines if line.split()[0] == "3"][0].endswith("agree")
+        assert lines[-1] == "exact and numeric paths DISAGREE"
+
 
 HUGE = 10**4000 + 1  # B_2 = (c_1^2 - c_1)/2 - c_2 has 8000 digits
 DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}  # Python's default limit
@@ -291,9 +311,8 @@ class TestSweepModule:
         assert spec.tuple_count() == 25
 
     def test_box_too_large(self):
-        spec = SweepSpec(2, 3, ((-2, 2), (-2, 2)), max_tuples=3)
         with pytest.raises(BoxTooLarge):
-            list(sweep_chunks(spec, "json"))
+            SweepSpec(2, 3, ((-2, 2), (-2, 2)), max_tuples=3)
 
     def test_parse_bounds(self):
         assert parse_bounds("-1:2,0:0") == ((-1, 2), (0, 0))

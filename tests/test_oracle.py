@@ -233,6 +233,8 @@ class TestAgreement:
         assert not roots.reliable
         _, rows = compare_exact_numeric((10**400, 1), [2])
         assert all(row.flagged for row in rows)
+        # the numeric value is nan there, so no integer is near it
+        assert all(row.nearest_integer_distance == float("inf") for row in rows)
 
     def test_unrepresentable_coefficients_are_flagged(self):
         # 2^53 + 1 rounds to a different polynomial; must flag, not compare

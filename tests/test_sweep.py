@@ -363,7 +363,7 @@ def test_cli_reports_a_killed_lane(monkeypatch, capsys):
 
 def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
     bounds = ((0, 10**14), (0, 10**14))
-    first = sweep.render_chunk(SweepSpec(2, 3, bounds), "csv", 0, sweep.CHUNK)
+    first = sweep.render_chunk(SweepSpec(2, 3, bounds, max_tuples=10**29), "csv", 0, sweep.CHUNK)
     with deadline(60):
         chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=10**29), "csv")
         assert next(chunks) == first
