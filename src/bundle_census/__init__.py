@@ -10,14 +10,11 @@ cross-checks the exact path.
 """
 
 from .chern import (
-    ChernPolynomial,
     ChernVector,
     dual,
     elementary_symmetric,
     from_line_bundles,
-    total_chern,
     twist_by_line,
-    whitney_sum,
 )
 from .enumeration import (
     CORANK_ONE,
@@ -25,14 +22,11 @@ from .enumeration import (
     STABLE_RANGE,
     UNSUPPORTED,
     BundleCount,
-    PowerSums,
     SchwarzenbergerReport,
     binomial_sum,
     check_schwarzenberger,
     count_bundles,
     exists_rank_n_on_cp_n_plus_1,
-    newton_power_sums,
-    reduce_stable,
 )
 from .kernels import backend_name, stirling_first
 from .oracle import NumericRoots, binomial_sum_numeric, compare_exact_numeric, find_roots
@@ -41,10 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BundleCount",
-    "ChernPolynomial",
     "ChernVector",
     "NumericRoots",
-    "PowerSums",
     "SchwarzenbergerReport",
     "backend_name",
     "binomial_sum",
@@ -57,12 +49,8 @@ __all__ = [
     "exists_rank_n_on_cp_n_plus_1",
     "find_roots",
     "from_line_bundles",
-    "newton_power_sums",
-    "reduce_stable",
     "stirling_first",
-    "total_chern",
     "twist_by_line",
-    "whitney_sum",
     "CORANK_ONE",
     "LINE_BUNDLE",
     "STABLE_RANGE",

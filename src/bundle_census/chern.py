@@ -1,10 +1,9 @@
-"""Chern class arithmetic in the truncated cohomology ring of CP^m.
+"""Chern class data of bundles on CP^m.
 
-The cohomology ring of CP^m is Z[t]/(t^(m+1)) with t the hyperplane class,
-so a total Chern class is a polynomial 1 + c_1 t + ... + c_m t^m and the
-Whitney formula is plain truncated multiplication.  ``ChernVector`` is the
-public representation of a bundle's class data; ``ChernPolynomial`` is the
-ring element used for products.
+``ChernVector`` is the public representation of a bundle's class data.
+``twist_by_line``, ``dual`` and ``from_line_bundles`` give the classes of
+the bundles built from it or from line bundles; the tests generate their
+inputs with them.
 """
 
 from __future__ import annotations
@@ -55,66 +54,6 @@ class ChernVector:
     def full_classes(self) -> tuple[int, ...]:
         """All rank-many classes (c_1, ..., c_n), zeros where they vanish."""
         return self.padded(self.rank)
-
-
-@dataclass(frozen=True)
-class ChernPolynomial:
-    """Total Chern class 1 + c_1 t + ... + c_m t^m in Z[t]/(t^(m+1))."""
-
-    dim: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"ambient dimension must be >= 0, got {self.dim}")
-        coeffs = tuple(operator.index(c) for c in self.coeffs)
-        if len(coeffs) != self.dim + 1:
-            raise ValueError(
-                f"need exactly {self.dim + 1} coefficients on CP^{self.dim}, got {len(coeffs)}"
-            )
-        if coeffs[0] != 1:
-            raise ValueError("a total Chern class has constant term 1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __mul__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        return whitney_sum(self, other)
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and i > 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if i == 1 else f"t^{i}"
-                parts.append(f"{c}{mono}" if c >= 0 else f"({c}){mono}")
-        return " + ".join(parts)
-
-
-def total_chern(v: ChernVector) -> ChernPolynomial:
-    """Embed a class vector as 1 + sum c_i t^i, truncated at t^(dim+1)."""
-    m = v.dim
-    body = v.classes[:m]
-    coeffs = (1,) + body + (0,) * (m - len(body))
-    return ChernPolynomial(m, coeffs)
-
-
-def whitney_sum(a: ChernPolynomial, b: ChernPolynomial) -> ChernPolynomial:
-    """Product of total Chern classes (the class of a direct sum)."""
-    if a.dim != b.dim:
-        raise ValueError(
-            f"cannot multiply classes on CP^{a.dim} and CP^{b.dim}; "
-            "re-embed in a common ambient space first"
-        )
-    m = a.dim
-    out = [0] * (m + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j in range(0, m + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return ChernPolynomial(m, tuple(out))
 
 
 def twist_by_line(v: ChernVector, d: int) -> ChernVector:

@@ -13,14 +13,18 @@ sweep alike:
 * rank >= dim (stable range): a unique bundle when S_rank holds, else none;
 * dim == rank + 1 (corank one): none unless S_(rank+1) holds for the
   zero-extended classes; one class if rank or c_1 is odd; two if rank and
-  c_1 are both even, in which case exactly one of the two extends to the
-  next projective space.
+  c_1 are both even.
 
 Everything else is honestly reported as unknown.
 
+When two classes exist, the paper claims that exactly one of them extends
+to the next projective space.  ``count_bundles`` repeats that claim only
+where S_(rank+2) holds on the classes followed by two zeros, which every
+bundle on CP^(rank+2) satisfies; where it fails, neither class extends.
+
 Beneath the predicate sits the typed single-tuple exact API:
-``newton_power_sums`` and ``binomial_sum`` give the power sums and B_r of
-the Chern roots of one class vector, exactly, without forming a root.
+``binomial_sum`` gives B_r of the Chern roots of one class vector,
+exactly, without forming a root.
 """
 
 from __future__ import annotations
@@ -41,24 +45,6 @@ UNSUPPORTED = "unsupported"
 ClassData = Union[ChernVector, Sequence[int]]
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """Power sums p_k = sum_j delta_j^k of the Chern roots, k = 1..R.
-
-    Each p_k is an exact integer: the roots are the roots of a monic
-    integer polynomial, so their power sums are integers even when the
-    roots themselves are irrational.
-    """
-
-    n: int
-    values: tuple[int, ...]
-
-    def p(self, k: int) -> int:
-        if not 1 <= k <= len(self.values):
-            raise ValueError(f"p_{k} not computed (have k = 1..{len(self.values)})")
-        return self.values[k - 1]
-
-
 def coefficients(c: ClassData) -> tuple[int, ...]:
     """Monic-polynomial coefficients (c_1, ..., c_n) of the class data.
 
@@ -68,15 +54,6 @@ def coefficients(c: ClassData) -> tuple[int, ...]:
     if isinstance(c, ChernVector):
         return c.full_classes
     return tuple(operator.index(x) for x in c)
-
-
-def newton_power_sums(c: ClassData, R: int) -> PowerSums:
-    """Power sums p_1..p_R of the roots of y^n + c_1 y^(n-1) + ... + c_n."""
-    coeffs = coefficients(c)
-    R = operator.index(R)
-    if R < 1:
-        raise ValueError(f"need R >= 1, got {R}")
-    return PowerSums(n=len(coeffs), values=tuple(kernels.power_sums(coeffs, R)))
 
 
 def binomial_sum(c: ClassData, r: int) -> Fraction:
@@ -119,8 +96,10 @@ class BundleCount:
 
     ``count`` is 0, 1 or 2 when the regime is resolved, None when the
     (rank, dim) pair is outside the supported regimes.  ``extension_note``
-    is set exactly when two classes exist: precisely one of them extends
-    to CP^(dim+1).
+    is set exactly when two classes exist.  It names the first r at which
+    S_(rank+2) fails on the classes followed by two zeros, in which case
+    neither class extends to CP^(dim+1); otherwise it carries the paper's
+    claim that exactly one of them does.
     """
 
     count: Optional[int]
@@ -217,21 +196,14 @@ def count_bundles(v: ChernVector) -> BundleCount:
     count = rule.count(report is None or report.satisfied, v.classes[0])
     note = None
     if count == 2:
-        note = f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
+        # a bundle on CP^(dim+1) has c_(n+1) = c_(n+2) = 0 and restricts to one
+        # with the same c_1..c_n, so either class extends only if S_(n+2) holds
+        # on (c, 0, 0); only r is named, since the digit cap admits S_(n+1) only
+        order = v.rank + 2
+        failing = check_schwarzenberger(v.padded(order), order).failing()
+        if failing:
+            note = (f"neither of the two isomorphism classes extends to CP^{v.dim + 1}: "
+                    f"S_{order} fails at r = {failing[0].r} with c_{order - 1} = c_{order} = 0")
+        else:
+            note = f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
     return BundleCount(count=count, regime=rule.regime, extension_note=note, report=report)
-
-
-def reduce_stable(classes: Sequence[int], rank: int, dim: int) -> bool:
-    """Whether a stable class on CP^(rank+1) has a rank-``rank`` representative.
-
-    Takes the classes up to degree dim == rank + 1 and answers by the
-    vanishing of c_(rank+1), which is the exact obstruction.
-    """
-    rank = operator.index(rank)
-    dim = operator.index(dim)
-    if dim != rank + 1:
-        raise ValueError(f"rank reduction rule applies on CP^(rank+1); got rank {rank}, dim {dim}")
-    coeffs = tuple(operator.index(c) for c in classes)
-    if len(coeffs) != dim:
-        raise ValueError(f"need classes up to degree {dim}, got {len(coeffs)}")
-    return coeffs[rank] == 0

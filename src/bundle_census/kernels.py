@@ -17,7 +17,6 @@ import numpy as np
 
 from ._kernels_py import (
     binomial_sum_num_den,
-    power_sums,
     schwarz_terms,
     stirling_first,
     stirling_row,
@@ -29,7 +28,6 @@ __all__ = [
     "binomial_sum_num_den",
     "certificate_below",
     "int64_certified",
-    "power_sums",
     "schwarz_terms",
     "schwarz_terms_batch",
     "stirling_first",

@@ -1,18 +1,15 @@
-"""Truncated-ring Chern class arithmetic."""
+"""Chern class data and the bundles built from it: twists, duals, sums of line bundles."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_census import (
-    ChernPolynomial,
     ChernVector,
     dual,
     elementary_symmetric,
     from_line_bundles,
-    total_chern,
     twist_by_line,
-    whitney_sum,
 )
 from oracles import elem_sym_brute
 
@@ -39,59 +36,6 @@ class TestChernVector:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             ChernVector(0, 3, ())
-
-
-class TestTotalChern:
-    def test_zero_classes(self):
-        assert total_chern(ChernVector(2, 3, (0, 0))).coeffs == (1, 0, 0, 0)
-
-    def test_direct_embedding(self):
-        p = total_chern(ChernVector(2, 3, (5, 6)))
-        assert p.coeffs == (1, 5, 6, 0)
-        assert str(p) == "1 + 5t + 6t^2"
-
-    def test_truncation(self):
-        p = total_chern(ChernVector(4, 3, (1, 2, 3, 4)))
-        assert p.coeffs == (1, 1, 2, 3)
-
-    def test_constant_term_enforced(self):
-        with pytest.raises(ValueError):
-            ChernPolynomial(2, (0, 1, 1))
-
-
-class TestWhitneySum:
-    def test_identity(self):
-        a = ChernPolynomial(3, (1, 4, -2, 9))
-        one = ChernPolynomial(3, (1, 0, 0, 0))
-        assert whitney_sum(a, one) == a
-
-    def test_two_lines(self):
-        a = ChernPolynomial(2, (1, 2, 0))
-        b = ChernPolynomial(2, (1, 3, 0))
-        assert whitney_sum(a, b).coeffs == (1, 5, 6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            whitney_sum(ChernPolynomial(2, (1, 0, 0)), ChernPolynomial(3, (1, 0, 0, 0)))
-
-    @given(ds=st.lists(st.integers(-5, 5), min_size=1, max_size=6))
-    @settings(max_examples=150)
-    def test_product_of_lines_gives_elementary_symmetric(self, ds):
-        m = len(ds)
-        product = ChernPolynomial(m, (1,) + (0,) * m)
-        for d in ds:
-            product = product * total_chern(ChernVector(1, m, (d,)))
-        assert product.coeffs[1:] == elem_sym_brute(ds)
-
-    @given(
-        coeffs=st.lists(st.tuples(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10)), min_size=3, max_size=3)
-    )
-    @settings(max_examples=100)
-    def test_commutative_associative(self, coeffs):
-        polys = [ChernPolynomial(4, (1, a, b, c, 0)) for a, b, c in coeffs]
-        a, b, c = polys
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
 
 
 class TestTwist:

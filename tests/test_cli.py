@@ -76,6 +76,14 @@ class TestCountCommand:
         assert "count: 2" in proc.stdout
         assert "exactly one" in proc.stdout and "CP^4" in proc.stdout
 
+    def test_count_two_where_neither_class_extends(self):
+        proc = run_cli("count", "--rank", "2", "--dim", "3", "--classes", "0,1")
+        assert proc.returncode == 0
+        assert "count: 2" in proc.stdout
+        (note,) = [line for line in proc.stdout.splitlines() if line.startswith("note: ")]
+        assert "neither" in note and "CP^4" in note and "r = 4" in note
+        assert "exactly one" not in note and "B_" not in note
+
     def test_odd_first_class(self):
         proc = run_cli("count", "--rank", "4", "--dim", "5", "--classes", "1,0,0,0")
         assert proc.returncode == 0
@@ -289,6 +297,16 @@ class TestInputsOutOfReach:
         assert out == b""
         assert err.decode().splitlines()[-1] == (
             f"error: condition order {cli.MAX_ORDER + 1} is above the cap of {cli.MAX_ORDER}")
+
+    def test_extension_test_fits_under_the_cap(self, capsys):
+        # two classes need an even rank, at most 398 under the cap, and its
+        # extension test S_(rank+2) is then S_400
+        rank = cli.MAX_ORDER - 2
+        assert cli.main(["count", "--rank", str(rank), "--dim", str(rank + 1),
+                         "--classes", ",".join(["0"] * rank)]) == 0
+        out = capsys.readouterr().out
+        assert "count: 2" in out
+        assert f"note: exactly one of the two isomorphism classes extends to CP^{rank + 2}" in out
 
     def test_count_and_sweep_derive_the_order_from_the_rank(self, capsys):
         # corank one tests S_(rank+1)

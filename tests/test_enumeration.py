@@ -1,6 +1,6 @@
 """Decision engine: existence predicates, counting, regimes."""
 
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,15 +13,17 @@ from bundle_census import (
     STABLE_RANGE,
     UNSUPPORTED,
     ChernVector,
+    binomial_sum,
     check_schwarzenberger,
     count_bundles,
     dual,
     exists_rank_n_on_cp_n_plus_1,
     from_line_bundles,
-    reduce_stable,
     twist_by_line,
 )
-from oracles import elem_sym_brute
+from oracles import binom_sum_brute, elem_sym_brute
+
+int_roots = st.lists(st.integers(-20, 20), min_size=1, max_size=10)
 
 
 class TestCheckSchwarzenberger:
@@ -52,6 +54,41 @@ class TestCheckSchwarzenberger:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             check_schwarzenberger((), 0)
+
+
+class TestBinomialSum:
+    def test_zero_roots(self):
+        assert binomial_sum((0, 0, 0), 3) == 0
+
+    def test_integer_roots_two_three(self):
+        assert binomial_sum((5, 6), 2) == 4
+
+    def test_half(self):
+        assert binomial_sum((1, 1), 2) == Fraction(-1)
+        assert binomial_sum((1, 1, 0), 3) == Fraction(1, 2)
+
+    def test_lowest_terms(self):
+        value = binomial_sum((1, 1, 0), 3)
+        assert value.denominator == 2 and value.numerator == 1
+
+    def test_rank_padding_from_vector(self):
+        # rank 5 on CP^3: stored classes extend by zeros up to the rank
+        v = ChernVector(5, 3, (1, 2, 3))
+        for r in range(1, 8):
+            assert binomial_sum(v, r) == binomial_sum((1, 2, 3, 0, 0), r)
+
+    @given(roots=int_roots, r=st.integers(1, 12))
+    @settings(max_examples=200)
+    def test_line_bundle_oracle(self, roots, r):
+        value = binomial_sum(elem_sym_brute(roots), r)
+        assert value == binom_sum_brute(roots, r)
+        assert value.denominator == 1
+
+    @given(roots=st.lists(st.integers(-10, 10), min_size=2, max_size=10))
+    @settings(max_examples=100)
+    def test_r_one_is_first_class(self, roots):
+        coeffs = elem_sym_brute(roots)
+        assert binomial_sum(coeffs, 1) == coeffs[0]
 
 
 class TestExistence:
@@ -102,6 +139,17 @@ class TestCountBundles:
         assert result.regime == CORANK_ONE
         assert result.extension_note is not None
         assert "CP^4" in result.extension_note
+        assert "exactly one" in result.extension_note
+
+    def test_count_two_where_neither_class_extends(self):
+        # the null-correlation classes: B_4 of (0, 1, 0, 0) is -5/6, so no
+        # bundle on CP^4 restricts to either class
+        assert check_schwarzenberger((0, 1, 0, 0), 4).failing()[0].r == 4
+        result = count_bundles(ChernVector(2, 3, (0, 1)))
+        assert result.count == 2
+        note = result.extension_note
+        assert note.startswith("neither") and "CP^4" in note and "r = 4" in note
+        assert "exactly one" not in note
 
     def test_corank_one_count_zero(self):
         result = count_bundles(ChernVector(2, 3, (1, 1)))
@@ -151,27 +199,48 @@ class TestCountBundles:
                     assert (result.extension_note is not None) == (result.count == 2)
 
 
-class TestReduceStable:
-    def test_vanishing_top_class(self):
-        assert reduce_stable((1, 2, 0), 2, 3)
+def count_two_classes(rank, dim, side):
+    box = itertools.product(range(-side, side + 1), repeat=rank)
+    return [c for c in box if count_bundles(ChernVector(rank, dim, c)).count == 2]
 
-    def test_nonvanishing_top_class(self):
-        assert not reduce_stable((1, 2, 3), 2, 3)
 
-    def test_line_bundle_sums_reduce(self):
-        # top degree-(n+1) class of a rank-n sum vanishes for rank reasons
-        rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            ds = [rng.randint(-5, 5) for _ in range(n)]
-            v = from_line_bundles(ds, n + 1)
-            assert reduce_stable(v.classes + (0,), n, n + 1)
+# count-2 tuples at rank 4, spread out by twists: an even-rank twist keeps the
+# count but moves the classes against the two zeros of the extension test
+rank_four_count_two = st.builds(
+    lambda c, d: twist_by_line(ChernVector(4, 5, c), d),
+    st.sampled_from(count_two_classes(4, 5, 3)),
+    st.integers(-20, 20),
+)
+rank_two_count_two = st.builds(
+    lambda k, c2: ChernVector(2, 3, (2 * k, c2)),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+)
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            reduce_stable((1, 2, 3), 2, 4)
-        with pytest.raises(ValueError):
-            reduce_stable((1, 2), 2, 3)
+
+class TestExtensionNote:
+    def test_rank_two_box(self):
+        notes = [count_bundles(ChernVector(2, 3, c)).extension_note
+                 for c in count_two_classes(2, 3, 20)]
+        assert len(notes) == 861
+        assert sum(note.startswith("neither") for note in notes) == 576
+
+    @given(v=st.one_of(rank_two_count_two, rank_four_count_two))
+    @settings(max_examples=200)
+    def test_says_a_class_extends_exactly_when_s_n_plus_two_holds(self, v):
+        # a bundle on CP^(n+2) has c_(n+1) = c_(n+2) = 0, so S_(n+2) on (c, 0, 0)
+        # is necessary for either class to extend
+        result = count_bundles(v)
+        assert result.count == 2
+        order = v.rank + 2
+        failing = [r for r in range(2, order + 1)
+                   if binomial_sum(v.padded(order), r).denominator != 1]
+        note = result.extension_note
+        if failing:
+            assert note.startswith("neither") and f"r = {failing[0]} " in note
+        else:
+            assert note.startswith("exactly one")
+        assert f"CP^{v.dim + 1}" in note
 
 
 line_sums = st.lists(st.integers(-8, 8), min_size=1, max_size=8)

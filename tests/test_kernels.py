@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundle_census import _kernels_py as kpy
-from bundle_census import kernels
+from bundle_census import kernels, stirling_first
 from bundle_census.sweep import SweepSpec, render_chunk
 from oracles import binom_sum_brute, elem_sym_brute, falling_factorial, power_sum_brute
 
@@ -20,8 +20,7 @@ on_kernels = pytest.mark.parametrize("kern", [kpy], ids=["python"])
 def test_library_calls_the_reference_kernels():
     # the cases below exercise _kernels_py; this pins that the library
     # runs the very same functions
-    for name in ("schwarz_terms", "power_sums", "binomial_sum_num_den",
-                 "stirling_row", "stirling_first"):
+    for name in ("schwarz_terms", "binomial_sum_num_den", "stirling_row", "stirling_first"):
         assert getattr(kernels, name) is getattr(kpy, name), name
     assert kernels.backend_name() == "python"
 
@@ -71,6 +70,20 @@ class TestStirling:
         assert all(row == want for row in results)
         # spot-check the row against the defining identity at x = 3
         assert sum(want[k] * 3**k for k in range(61)) == falling_factorial(3, 60)
+
+
+class TestStirlingFirst:
+    # the public name, as the package exports it
+    def test_empty_product(self):
+        assert stirling_first(0, 0) == 1
+
+    def test_hand_expansion(self):
+        assert stirling_first(3, 2) == -3
+        assert stirling_first(3, 1) == 2
+
+    def test_rejects_k_above_r(self):
+        with pytest.raises(ValueError):
+            stirling_first(4, 5)
 
 
 @on_kernels
