@@ -11,7 +11,6 @@ could be too long for Python to print.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
 from .sweep import (DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, header, parse_bounds,
-                    sweep_chunks)
+                    summary, sweep_chunks)
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
@@ -68,8 +67,11 @@ def parse_classes(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated options: _merge_value_flags rewrites only the full
+    # spellings, so an abbreviation would lose a leading minus sign
     parser = argparse.ArgumentParser(
         prog="bundle-census",
+        allow_abbrev=False,
         description=(
             "Decide which integer tuples occur as Chern classes of complex "
             "bundles on projective spaces, and count the isomorphism classes."
@@ -78,17 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="test the integrality condition S_N")
+    p_check = sub.add_parser("check", help="test the integrality condition S_N", allow_abbrev=False)
     p_check.add_argument("--classes", required=True, help="comma-separated integers c_1,...,c_N")
     p_check.add_argument("--N", type=int, default=None,
                          help="condition order (default: number of classes)")
 
-    p_count = sub.add_parser("count", help="count isomorphism classes for one tuple")
+    p_count = sub.add_parser("count", help="count isomorphism classes for one tuple",
+                             allow_abbrev=False)
     p_count.add_argument("--rank", type=int, required=True)
     p_count.add_argument("--dim", type=int, required=True)
     p_count.add_argument("--classes", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="classify every tuple in a box")
+    p_sweep = sub.add_parser("sweep", help="classify every tuple in a box", allow_abbrev=False)
     p_sweep.add_argument("--rank", type=int, required=True)
     p_sweep.add_argument("--dim", type=int, required=True)
     p_sweep.add_argument("--bounds", required=True,
@@ -99,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help=f"lanes, 1 to {MAX_JOBS}: this process and N-1 worker processes")
 
-    p_diag = sub.add_parser("diagnose", help="exact vs numeric values side by side")
+    p_diag = sub.add_parser("diagnose", help="exact vs numeric values side by side",
+                            allow_abbrev=False)
     p_diag.add_argument("--classes", required=True)
     p_diag.add_argument("--N", type=int, default=None)
 
@@ -171,29 +175,11 @@ def cmd_sweep(args) -> int:
         for chunk in chunks:
             out.write(chunk.data)
             totals.update(chunk.counts)
-    if args.format == "json":
-        line = json.dumps({"summary": _summary(total, totals)}, separators=(",", ":"))
-        out.write(f"{line}\n".encode())
-    elif args.format == "csv":
-        print(f"summary: {_render_summary(total, totals)}", file=sys.stderr)
-    else:
-        out.write(f"{_render_summary(total, totals)}\n".encode())
+    tail, note = summary(args.format, total, totals)
+    out.write(tail.encode())
+    sys.stderr.write(note)
     out.flush()
     return 0
-
-
-def _summary(total: int, totals: dict) -> dict:
-    return {
-        "total": total,
-        "count_0": totals[0],
-        "count_1": totals[1],
-        "count_2": totals[2],
-        "unknown": totals[None],
-    }
-
-
-def _render_summary(total: int, totals: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in _summary(total, totals).items())
 
 
 def cmd_diagnose(args) -> int:

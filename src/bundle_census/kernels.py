@@ -1,8 +1,9 @@
 """The exact arithmetic kernels the library calls.
 
 Re-exports the single-tuple kernels of ``_kernels_py`` and adds the batch
-kernel that sweeps run on whole chunks of tuples, on int64 columns where
-the overflow certificate holds and on columns of Python ints elsewhere.
+kernel that sweeps run on whole chunks of tuples.  The batch kernel reads
+the largest |c_i| off the batch it is given and runs on int64 columns
+where the overflow certificate holds, on columns of Python ints elsewhere.
 Callers look the functions up as attributes of this module
 (``kernels.schwarz_terms``), so a profiler or test can wrap one in a single
 place.
@@ -43,7 +44,7 @@ def backend_name() -> str:
 
 
 def int64_certified(order: int, max_abs: int) -> bool:
-    """Whether ``schwarz_terms_batch`` is exact for S_order on these classes.
+    """Whether ``schwarz_terms_batch`` runs S_order in int64 on these classes.
 
     ``max_abs`` bounds |c_i| over every tuple of the batch.  The batch
     kernel's int64 arithmetic cannot overflow when, with R = 1 + max_abs,
@@ -103,20 +104,16 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(num, den)``, each ``(T, N-1)`` with column r-2 holding B_r in
     lowest terms, den >= 1: row for row what ``schwarz_terms`` returns.
-    An ``object`` array of Python ints runs the same column operations
-    exactly at any size, and gives ``object`` arrays back.  Any other
-    input is computed in int64 and must satisfy ``int64_certified``,
-    checked once here before any arithmetic; no operation is checked
-    afterwards.
+    The batch's largest |c_i| is read once, whatever the input dtype: where
+    it satisfies ``int64_certified`` the column operations run in int64 and
+    no operation is checked afterwards; elsewhere they run exactly on
+    Python ints, at any size.  The returned dtype, int64 or ``object``,
+    says which ran.
     """
     T, order = classes.shape
-    if classes.dtype == object:
-        c = np.ascontiguousarray(classes.T)
-    else:
-        max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
-        if not int64_certified(order, max_abs):
-            raise ValueError(f"S_{order} with |c_i| up to {max_abs} is not int64-certified")
-        c = np.ascontiguousarray(classes.T, dtype=np.int64)
+    max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
+    dtype = np.int64 if int64_certified(order, max_abs) else object
+    c = np.ascontiguousarray(classes.T, dtype=dtype)
     stirling, factorials = _weights(order, c.dtype)
     # Newton's identities, one row of power sums at a time
     p = np.empty_like(c)

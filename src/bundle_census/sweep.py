@@ -4,16 +4,16 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 CHUNK tuples.  Each range is decoded once into a column array of classes
-(int64 when its indices and the box's ends fit, else Python ints).  The
-largest |c_i| read off those classes decides the rest: the batch kernel
-runs on int64 columns when its overflow certificate holds for that
-extent, else on columns of Python ints, and the records are rendered
-straight to bytes.  With more than one job the ranges are dealt
-round-robin to lanes: the calling process renders its own share and each
-worker lane streams its finished bytes down one pipe.  Ranges are always
-yielded in index order, so output is deterministic and independent of the
-worker count.  ``evaluate_classes`` and ``run_sweep`` are the single-tuple
-path.
+(int64 when its indices and the box's ends fit, else Python ints) and
+handed to the batch kernel, which reads the largest |c_i| off them itself
+and runs in int64 where its overflow certificate holds, else on Python
+ints; the records are rendered straight to bytes.  With more than one
+job the ranges are dealt round-robin to lanes: the calling process
+renders its own share and each worker lane streams its finished bytes
+down one pipe.  Ranges are always yielded in index order, so output is
+deterministic and independent of the worker count.  ``header`` and
+``summary`` give the text around the records.  ``evaluate_classes`` and
+``run_sweep`` are the single-tuple path.
 """
 
 from __future__ import annotations
@@ -202,23 +202,24 @@ def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
     """Records of the tuples with linear index in [start, stop), as bytes."""
     rule = counting_rule(spec.rank, spec.dim)
-    columns, counts, failing, extent = _classify(spec.bounds, rule, start, stop, _TERM[fmt])
-    text = _RENDER[fmt](columns, counts, failing, rule.regime, extent <= _SAFE_JSON_INT)
+    columns, counts, failing = _classify(spec.bounds, rule, start, stop, _TERM[fmt])
+    # every class lies between the box's ends, so small ends make every class small
+    small = all(abs(end) <= _SAFE_JSON_INT for ends in spec.bounds for end in ends)
+    text = _RENDER[fmt](columns, counts, failing, rule.regime, small)
     return Chunk(text.encode(), Counter(counts))
 
 
 def _classify(bounds, rule, start, stop, term):
     """Classify the tuples with linear index in [start, stop) as columns.
 
-    Returns (columns, counts, failing, extent): one list of ints per
-    class, the count of each tuple, each tuple's failing B_r as the text
-    of its record's failing field ("" where none fails), and the largest
-    |c_i| of the range.  ``term`` is how the output format writes one
-    failing B_r: the text before the fraction, as a template for r, and
-    the text after it (see ``_TERM``).  The range is decoded once, in
-    int64 when every index and interval end fits it, else in Python ints;
-    the kernel then runs in int64 when the decoded classes satisfy its
-    certificate, else on Python ints, exact at any size.
+    Returns (columns, counts, failing): one list of ints per class, the
+    count of each tuple, and each tuple's failing B_r as the text of its
+    record's failing field ("" where none fails).  ``term`` is how the
+    output format writes one failing B_r: the text before the fraction,
+    as a template for r, and the text after it (see ``_TERM``).  The range
+    is decoded once, in int64 when every index and interval end fits it,
+    else in Python ints; the batch kernel picks its own arithmetic from
+    the decoded classes.
     """
     fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
     index = np.arange(start, stop, dtype=np.int64 if fits else object)
@@ -227,12 +228,9 @@ def _classify(bounds, rule, start, stop, term):
         lo, hi = bounds[j]
         index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
         classes[:, j] = digit + lo
-    extent = max(-int(classes.min()), int(classes.max()))
     failing = [""] * len(classes)
     satisfied = True
     if rule.order is not None:
-        certified = kernels.int64_certified(rule.order, extent)
-        classes = classes.astype(np.int64 if certified else object, copy=False)
         num, den = kernels.schwarz_terms_batch(classes)
         satisfied = (den == 1).all(axis=1)
         if not satisfied.all():
@@ -245,7 +243,7 @@ def _classify(bounds, rule, start, stop, term):
             failing = [text[1:] for text in map("".join, zip(*cols))]
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
-    return classes[:, : len(bounds)].T.tolist(), counts, failing, extent
+    return classes[:, : len(bounds)].T.tolist(), counts, failing
 
 
 # one failing B_r as each format writes it: a one-character separator and
@@ -304,6 +302,22 @@ def header(fmt: str, n_classes: int) -> str:
     if fmt == "table":
         return f"{'classes':<{table_width(n_classes)}} {'count':>7} {'regime':<13} {'failing':<20} ext\n"
     return ""
+
+
+def summary(fmt: str, total: int, counts: Counter) -> tuple[str, str]:
+    """The text a sweep's stdout ends with, and the line it writes to stderr.
+
+    ``counts`` holds the tuples per count over the box, as ``Chunk.counts``
+    adds up.  JSON ends stdout with a ``{"summary": ...}`` record and a
+    table with the totals; csv keeps stdout to its records and writes the
+    totals to stderr instead.
+    """
+    fields = {"total": total, "count_0": counts[0], "count_1": counts[1],
+              "count_2": counts[2], "unknown": counts[None]}
+    if fmt == "json":
+        return '{"summary":{' + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}}\n", ""
+    text = " ".join(f"{k}={v}" for k, v in fields.items())
+    return ("", f"summary: {text}\n") if fmt == "csv" else (f"{text}\n", "")
 
 
 def parse_bounds(text: str) -> tuple[tuple[int, int], ...]:

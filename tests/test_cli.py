@@ -413,6 +413,19 @@ def test_double_dash_as_a_value_is_a_usage_error(command, joined):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--clas", "1,2"],
+    ["check", "--clas", "-1,2"],
+    ["sweep", "--rank", "1", "--dim", "2", "--bound", "-1:1"],
+])
+def test_abbreviated_options_are_usage_errors(argv):
+    # only the full spelling keeps a leading minus sign, so no option is abbreviated
+    code, out, err = run_main(argv)
+    assert code == 2 and out == b""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert run_main(["check", "--classes", "-1,2"])[0] == 0
+
+
 LONG = "9" * 4301  # past Python's default limit of 4300 digits for int()
 CLASS = st.one_of(st.integers(-3, 6), st.sampled_from([2**63, -(2**63)]))
 ODD = st.sampled_from(["", "1.5", "0x10", "1_0", ":", "2:1", "--", "0", "-3",

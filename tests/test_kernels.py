@@ -177,12 +177,13 @@ def certified_edge(order):
 ORDERS = range(2, 20)
 
 
-def assert_batch_matches_reference(rows, dtype=np.int64):
+def assert_batch_matches_reference(rows, dtype=np.int64, runs_on=np.int64):
+    """The batch kernel on ``rows`` as ``dtype`` ran on ``runs_on`` and agrees with kpy."""
     classes = np.array(rows, dtype=dtype)
     num, den = kernels.schwarz_terms_batch(classes)
     order = classes.shape[1]
     assert num.shape == den.shape == (len(rows), order - 1)
-    assert num.dtype == den.dtype == dtype
+    assert num.dtype == den.dtype == runs_on
     for row, nums, dens in zip(rows, num.tolist(), den.tolist()):
         got = [(r, n, d) for r, n, d in zip(range(2, order + 1), nums, dens)]
         assert got == kpy.schwarz_terms(tuple(row), order), row
@@ -219,23 +220,22 @@ class TestBatchKernel:
                                   min_size=count, max_size=count))
         assert_batch_matches_reference(rows)
 
-    def test_refuses_an_uncertified_batch(self):
+    def test_uncertified_int64_batch_runs_on_python_ints(self):
         for order in (2, 3, 7):
             m = certified_edge(order)
             assert_batch_matches_reference([[m] * order, [-m] * order])
             for bad in (m + 1, -(m + 1)):
-                with pytest.raises(ValueError):
-                    kernels.schwarz_terms_batch(np.array([[0] * (order - 1) + [bad]], dtype=np.int64))
-        with pytest.raises(ValueError):
-            kernels.schwarz_terms_batch(np.zeros((1, 20), dtype=np.int64))
+                assert_batch_matches_reference([[0] * (order - 1) + [bad], [m] * order],
+                                               runs_on=object)
+        assert_batch_matches_reference([[0] * 20], runs_on=object)
 
     def test_empty_batch(self):
-        num, den = kernels.schwarz_terms_batch(np.zeros((0, 4), dtype=np.int64))
-        assert num.shape == den.shape == (0, 3)
         for order in (1, 4, 25):
-            num, den = kernels.schwarz_terms_batch(np.zeros((0, order), dtype=object))
-            assert num.shape == den.shape == (0, order - 1)
-            assert num.dtype == den.dtype == object
+            runs_on = np.int64 if kernels.int64_certified(order, 0) else object
+            for dtype in (np.int64, object):
+                num, den = kernels.schwarz_terms_batch(np.zeros((0, order), dtype=dtype))
+                assert num.shape == den.shape == (0, order - 1)
+                assert num.dtype == den.dtype == runs_on
 
     @pytest.mark.parametrize("order", range(1, 31))
     def test_object_rows_match_reference(self, order):
@@ -246,14 +246,16 @@ class TestBatchKernel:
                 [huge - k for k in range(order)],
                 [1] + [0] * (order - 1), [0] * (order - 1) + [-huge],
                 [(k % 5 - 2) * 7 for k in range(order)]]
-        assert_batch_matches_reference(rows, dtype=object)
+        assert_batch_matches_reference(rows, dtype=object, runs_on=object)
 
     @given(data=st.data(), order=st.integers(1, 30), count=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_random_object_rows_match_reference(self, data, order, count):
         rows = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=order, max_size=order),
                                   min_size=count, max_size=count))
-        assert_batch_matches_reference(rows, dtype=object)
+        extent = max(abs(c) for row in rows for c in row)
+        runs_on = np.int64 if kernels.int64_certified(order, extent) else object
+        assert_batch_matches_reference(rows, dtype=object, runs_on=runs_on)
 
 
 class TestChunkPath:
@@ -265,8 +267,9 @@ class TestChunkPath:
         batch = kernels.schwarz_terms_batch
 
         def spy(classes):
-            seen.append((classes.dtype, len(classes)))
-            return batch(classes)
+            num, den = batch(classes)
+            seen.append((num.dtype, len(num)))
+            return num, den
 
         monkeypatch.setattr(kernels, "schwarz_terms_batch", spy)
         # the sweep makes no single-tuple kernel call on either dtype

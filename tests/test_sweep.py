@@ -115,15 +115,22 @@ def test_matches_reference(box, fmt, chunk, monkeypatch):
     assert swept(SweepSpec(rank, dim, bounds), fmt) == reference_records(rank, dim, bounds, fmt)
 
 
-def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
+def spy_on_kernel(patch):
+    """Wrap the batch kernel to record the dtype of each call's output, the one it ran on."""
     dtypes = []
     batch = kernels.schwarz_terms_batch
 
     def spy(classes):
-        dtypes.append(classes.dtype)
-        return batch(classes)
+        num, den = batch(classes)
+        dtypes.append(num.dtype)
+        return num, den
 
-    monkeypatch.setattr(kernels, "schwarz_terms_batch", spy)
+    patch.setattr(kernels, "schwarz_terms_batch", spy)
+    return dtypes
+
+
+def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
+    dtypes = spy_on_kernel(monkeypatch)
     for box in ("straddles_certificate", "straddles_negative"):
         rank, dim, bounds = BOXES[box]
         spec = SweepSpec(rank, dim, bounds)
@@ -144,10 +151,7 @@ FAILS_EVERY_R = (-3, -3, -2, -3, 0, 0)
 def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, dtype, monkeypatch):
     if dtype is object:
         monkeypatch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
-    dtypes = []
-    batch = kernels.schwarz_terms_batch
-    monkeypatch.setattr(kernels, "schwarz_terms_batch",
-                        lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+    dtypes = spy_on_kernel(monkeypatch)
     spec = SweepSpec(6, 7, tuple((c, c) for c in FAILS_EVERY_R))
     got = sweep.render_chunk(spec, fmt, 0, 1).data.decode()
     assert dtypes == [np.dtype(dtype)]
@@ -202,10 +206,7 @@ def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypa
     spec = SweepSpec(2, 3, bounds, max_tuples=2**68)
     total = spec.tuple_count()
     assert total > sweep._INT64_INDEX
-    dtypes = []
-    batch = kernels.schwarz_terms_batch
-    monkeypatch.setattr(kernels, "schwarz_terms_batch",
-                        lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+    dtypes = spy_on_kernel(monkeypatch)
     for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
         tuples = [decode(i, bounds) for i in range(start, stop)]
         pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
@@ -408,11 +409,8 @@ def test_kernel_dtype_follows_the_certificate_on_the_range(bounds, data):
     tuples = list(iter_box(bounds))
     start = data.draw(st.integers(0, len(tuples) - 1))
     stop = data.draw(st.integers(start + 1, len(tuples)))
-    dtypes = []
-    batch = kernels.schwarz_terms_batch
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "schwarz_terms_batch",
-                      lambda classes: (dtypes.append(classes.dtype), batch(classes))[1])
+        dtypes = spy_on_kernel(patch)
         got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
     extent = max(abs(c) for t in tuples[start:stop] for c in t)
     assert dtypes == [np.dtype(np.int64 if kernels.int64_certified(3, extent) else object)]
