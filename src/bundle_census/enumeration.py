@@ -10,7 +10,8 @@ regimes where the answer is known in full, for ``count_bundles`` and the
 sweep alike:
 
 * rank 1: a unique line bundle for every first Chern class;
-* rank >= dim (stable range): a unique bundle when S_rank holds, else none;
+* rank >= dim (stable range): a unique bundle when S_dim holds, else none
+  (c_i vanishes for i > dim, and B_r for r > dim is no condition on CP^dim);
 * dim == rank + 1 (corank one): none unless S_(rank+1) holds for the
   zero-extended classes; one class if rank or c_1 is odd; two if rank and
   c_1 are both even.
@@ -174,13 +175,15 @@ def counting_rule(rank: int, dim: int) -> CountingRule:
     """The counting rule for rank-``rank`` bundles on CP^``dim``.
 
     The one place that knows the regimes: ``count_bundles`` and the sweep
-    both classify through it.
+    both classify through it.  Every tested regime runs S_dim: on CP^dim
+    only B_r with r <= dim is a condition, so in the stable range the
+    order follows the dimension, not the rank.
     """
     if rank == 1:
         # every integer is the first Chern class of exactly one line bundle
         return CountingRule(LINE_BUNDLE, order=None)
     if rank >= dim:
-        return CountingRule(STABLE_RANGE, order=rank)
+        return CountingRule(STABLE_RANGE, order=dim)
     if dim == rank + 1:
         # two classes exactly when rank and c_1 are both even
         return CountingRule(CORANK_ONE, order=rank + 1, splits=rank % 2 == 0)

@@ -127,30 +127,23 @@ class Chunk(NamedTuple):
 def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """Every record of the box rendered in ``fmt``, one chunk at a time.
 
-    The box's linear index is cut into ranges of CHUNK tuples, split
-    across ``spec.jobs`` lanes (see ``_lanes``; the one lane of a single
-    job is this process) and yielded in index order, so the bytes do not
-    depend on the worker count.  Raises LaneDied if a worker lane stops
+    The box's linear index is cut into ranges of CHUNK tuples, and chunk k
+    is rendered by lane k mod L, L being ``spec.jobs`` or the number of
+    chunks if that is smaller.  Lane 0 is this process, rendering inline;
+    every other lane is one process sending its chunks, in index order,
+    down its own one-way pipe.  A lane blocks once its pipe is full, so
+    what is in flight stays bounded by one pipe per worker lane however
+    slowly the chunks are consumed.  Chunks are yielded in index order,
+    so the bytes do not depend on the worker count.  Every worker lane is
+    killed and joined on the way out: after the last chunk, on close by
+    the consumer, and on error.  Raises LaneDied if a worker lane stops
     early.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    yield from _lanes(spec, fmt, spec.tuple_count(), CHUNK)
-
-
-def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
-    """The chunks of ``size`` tuples, chunk k rendered by lane k mod L.
-
-    L is ``spec.jobs``, or the number of chunks if that is smaller.  Lane 0
-    is this process, rendering inline; every other lane is one process
-    sending its chunks, in index order, down its own one-way pipe.  A lane
-    blocks once its pipe is full, so what is in flight stays bounded by
-    one pipe per worker lane however slowly the chunks are consumed.
-    Every worker lane is killed and joined on the way out: after the last
-    chunk, on close by the consumer, and on error.
-    """
-    starts = range(0, total, size)
-    chunks = -(-total // size)  # len(starts) overflows past sys.maxsize chunks
+    total = spec.tuple_count()
+    starts = range(0, total, CHUNK)
+    chunks = -(-total // CHUNK)  # len(starts) overflows past sys.maxsize chunks
     lanes = min(spec.jobs, chunks)
     workers = []
     try:
@@ -158,12 +151,12 @@ def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
                 target=_lane_main, name=f"sweep-lane-{lane}", daemon=True,
-                args=(writer, spec, fmt, total, starts[lane::lanes], size),
+                args=(writer, spec, fmt, starts[lane::lanes]),
             )
             proc.start()
             workers.append((reader, proc))
             writer.close()  # so the reader sees end of file once the lane exits
-        own = _render_lane(spec, fmt, total, starts[::lanes], size)
+        own = (render_chunk(spec, fmt, start, start + CHUNK) for start in starts[::lanes])
         for k in range(chunks):
             lane = k % lanes
             yield next(own) if lane == 0 else _receive(*workers[lane - 1], lane, lanes)
@@ -175,16 +168,10 @@ def _lanes(spec: SweepSpec, fmt: str, total: int, size: int) -> Iterator[Chunk]:
             reader.close()
 
 
-def _render_lane(spec: SweepSpec, fmt: str, total: int, starts: range, size: int) -> Iterator[Chunk]:
-    """The chunks of ``size`` tuples at ``starts``, rendered in this process."""
-    for start in starts:
-        yield render_chunk(spec, fmt, start, min(start + size, total))
-
-
-def _lane_main(writer, spec: SweepSpec, fmt: str, total: int, starts: range, size: int) -> None:
+def _lane_main(writer, spec: SweepSpec, fmt: str, starts: range) -> None:
     """A worker lane: render the chunks at ``starts`` and send them in order."""
-    for chunk in _render_lane(spec, fmt, total, starts, size):
-        writer.send(chunk)
+    for start in starts:
+        writer.send(render_chunk(spec, fmt, start, start + CHUNK))
 
 
 def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
@@ -200,27 +187,17 @@ def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
 
 
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
-    """Records of the tuples with linear index in [start, stop), as bytes."""
-    rule = counting_rule(spec.rank, spec.dim)
-    columns, counts, failing = _classify(spec.bounds, rule, start, stop, _TERM[fmt])
-    # every class lies between the box's ends, so small ends make every class small
-    small = all(abs(end) <= _SAFE_JSON_INT for ends in spec.bounds for end in ends)
-    text = _RENDER[fmt](columns, counts, failing, rule.regime, small)
-    return Chunk(text.encode(), Counter(counts))
+    """Records of the tuples with linear index in [start, stop), as bytes.
 
-
-def _classify(bounds, rule, start, stop, term):
-    """Classify the tuples with linear index in [start, stop) as columns.
-
-    Returns (columns, counts, failing): one list of ints per class, the
-    count of each tuple, and each tuple's failing B_r as the text of its
-    record's failing field ("" where none fails).  ``term`` is how the
-    output format writes one failing B_r: the text before the fraction,
-    as a template for r, and the text after it (see ``_TERM``).  The range
-    is decoded once, in int64 when every index and interval end fits it,
-    else in Python ints; the batch kernel picks its own arithmetic from
-    the decoded classes.
+    ``stop`` may run past the box's end and is clipped to it.  The range
+    is decoded once into a column array of classes, in int64 when every
+    index and interval end fits it, else in Python ints; the batch kernel
+    picks its own arithmetic from the decoded classes.  Each tuple's
+    failing B_r are written straight in ``fmt`` (see ``_TERM``), "" where
+    none fails.
     """
+    bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
+    stop = min(stop, spec.tuple_count())
     fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
     index = np.arange(start, stop, dtype=np.int64 if fits else object)
     classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)
@@ -236,14 +213,17 @@ def _classify(bounds, rule, start, stop, term):
         if not satisfied.all():
             # one column of r at a time, each term led by its separator,
             # which the join leaves in front of every row's first term
-            head, tail = term
+            head, tail = _TERM[fmt]
             cols = [[f"{h}{n}/{d}{tail}" if d != 1 else "" for n, d in zip(nums, dens)]
                     for h, nums, dens in zip(map(head.format, itertools.count(2)),
                                              num.T.tolist(), den.T.tolist())]
             failing = [text[1:] for text in map("".join, zip(*cols))]
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
-    return classes[:, : len(bounds)].T.tolist(), counts, failing
+    # every class lies between the box's ends, so small ends make every class small
+    small = all(abs(end) <= _SAFE_JSON_INT for ends in bounds for end in ends)
+    text = _RENDER[fmt](classes[:, : len(bounds)].T.tolist(), counts, failing, rule.regime, small)
+    return Chunk(text.encode(), Counter(counts))
 
 
 # one failing B_r as each format writes it: a one-character separator and

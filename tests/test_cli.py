@@ -95,6 +95,12 @@ class TestCountCommand:
         assert "count: unknown" in proc.stdout
         assert "unsupported" in proc.stdout
 
+    def test_stable_range_tests_the_condition_of_the_dimension(self):
+        # rank 2 on CP^2 with classes (1, 1) exists, and so does its sum with O
+        proc = run_cli("count", "--rank", "3", "--dim", "2", "--classes", "1,1")
+        assert proc.returncode == 0
+        assert "count: 1" in proc.stdout.splitlines()
+
     def test_nonexistent_tuple_shows_failure(self):
         proc = run_cli("count", "--rank", "2", "--dim", "3", "--classes", "1,1")
         assert proc.returncode == 0
@@ -253,7 +259,7 @@ def order_argv(command, N):
     zeros = ",".join(["0"] * N)
     if command in ("check", "diagnose"):
         return [command, "--classes", zeros]
-    if command == "count":  # stable range: S_rank
+    if command == "count":  # rank N on CP^N: S_N
         return [command, "--rank", str(N), "--dim", str(N), "--classes", zeros]
     bounds = ",".join(["0:0"] * N)
     return [command, "--rank", str(N), "--dim", str(N), "--bounds", bounds, "--format", "csv"]
@@ -322,6 +328,13 @@ class TestInputsOutOfReach:
                          "--classes", ",".join(["0"] * (N + 1))]) == 0
         assert "above the cap" in capsys.readouterr().err
 
+    def test_stable_range_order_follows_the_dimension(self, capsys):
+        # rank 1000 on CP^3 tests S_3, far below the cap
+        assert cli.main(["sweep", "--rank", "1000", "--dim", "3",
+                         "--bounds", "0:0,0:0,0:0"]) == 0
+        out, err = capsys.readouterr()
+        assert "stable_range" in out and "error" not in err
+
 
 class TestSweepModule:
     def test_tuple_count(self):
@@ -365,14 +378,12 @@ class TestSweepModule:
 
         monkeypatch.setattr(sweep, "render_chunk", render)
         spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
-        total = spec.tuple_count()
         reader, writer = multiprocessing.Pipe(duplex=False)
         try:
             capacity = fcntl.fcntl(writer.fileno(), fcntl.F_GETPIPE_SZ)
             os.set_blocking(writer.fileno(), False)
             with pytest.raises(BlockingIOError):
-                sweep._lane_main(writer, spec, "json", total,
-                                 range(0, total, sweep.CHUNK), sweep.CHUNK)
+                sweep._lane_main(writer, spec, "json", range(0, spec.tuple_count(), sweep.CHUNK))
         finally:
             reader.close()
             writer.close()

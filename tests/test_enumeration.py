@@ -168,15 +168,15 @@ class TestCountBundles:
         assert result.count == 1
 
     def test_stable_range(self):
-        # rank 5 on CP^3: classes determine the bundle when S_5 holds
+        # rank 5 on CP^3: classes determine the bundle when S_3 holds
         v = ChernVector(5, 3, elem_sym_brute([1, 2, 3])[:3])
         result = count_bundles(v)
         assert result.regime == STABLE_RANGE
         assert result.count == 1
-        assert result.report.n_condition == 5
+        assert result.report.n_condition == 3
 
     def test_stable_range_failure(self):
-        # (1,1,0,...,0) fails S_3 already, hence S_5
+        # (1,1,0) fails S_3, the condition on CP^3
         result = count_bundles(ChernVector(5, 3, (1, 1, 0)))
         assert result.regime == STABLE_RANGE
         assert result.count == 0
@@ -189,6 +189,15 @@ class TestCountBundles:
 
     def test_rank_equal_dim_is_stable(self):
         assert count_bundles(ChernVector(3, 3, (0, 0, 0))).regime == STABLE_RANGE
+
+    @given(c=st.lists(st.integers(-50, 50), min_size=2, max_size=5), extra=st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_stable_range_count_follows_the_dimension(self, c, extra):
+        # E + O has the classes of E, and on CP^dim only B_r with r <= dim is
+        # a condition, so adding rank past dim never changes the count
+        dim = len(c)
+        assert (count_bundles(ChernVector(dim + extra, dim, c)).count
+                == count_bundles(ChernVector(dim, dim, c)).count)
 
     def test_count_two_iff_rank_and_first_class_even(self):
         for c1 in range(-6, 7):
