@@ -4,7 +4,8 @@ Re-exports the single-tuple kernels of ``_kernels_py`` and adds the batch
 kernel that sweeps run on whole chunks of tuples.  The batch kernel reads
 the largest |c_i| off the batch it is given and runs on int64 columns
 where the overflow certificate holds, on columns of Python ints elsewhere.
-Callers look the functions up as attributes of this module
+numpy loads on the batch kernel's first call, so the single-tuple kernels
+run without it.  Callers look the functions up as attributes of this module
 (``kernels.schwarz_terms``), so a profiler or test can wrap one in a single
 place.
 """
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._kernels_py import (
     binomial_sum_num_den,
@@ -22,6 +22,9 @@ from ._kernels_py import (
     stirling_first,
     stirling_row,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INT64_LIMIT",
@@ -87,6 +90,8 @@ def certificate_below(order: int, max_abs: int, limit: int) -> bool:
 
 @cache
 def _weights(order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order,
     # built as Python ints and cast: both leave int64 from r = 21, past every
     # order the certificate admits (N <= 19)
@@ -110,6 +115,8 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Python ints, at any size.  The returned dtype, int64 or ``object``,
     says which ran.
     """
+    import numpy as np
+
     T, order = classes.shape
     max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
     dtype = np.int64 if int64_certified(order, max_abs) else object

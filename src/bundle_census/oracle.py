@@ -12,17 +12,21 @@ Results carry reliability flags instead of silently degrading: a large
 root residual, a conditioning estimate beyond the trustworthy range, or an
 imaginary part above tolerance marks the value unreliable rather than
 letting it masquerade as a disagreement.
+
+numpy loads on the first call that computes with it (``find_roots``,
+``binomial_sums_numeric``), not when this module is imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .enumeration import ClassData, binomial_sum, check_schwarzenberger, coefficients
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # residual / imaginary-part tolerances scale with the coefficient size;
 # the agreement tolerance scales with (1 + max|delta|)^r since that is the
@@ -88,6 +92,8 @@ def find_roots(c: ClassData) -> NumericRoots:
     cannot make polishing diverge.  Non-convergence is reported through the
     ``reliable`` flag, never as a silent answer.
     """
+    import numpy as np
+
     coeffs = coefficients(c)
     n = len(coeffs)
     if n < 1:
@@ -135,6 +141,8 @@ def binomial_sums_numeric(roots: NumericRoots, r_max: int) -> np.ndarray:
     left in place so callers can check them against tolerance instead of
     trusting a silent projection.
     """
+    import numpy as np
+
     deltas = np.asarray(roots.roots, dtype=np.complex128)
     i = np.arange(r_max, dtype=np.float64)
     factors = deltas[:, None] - i

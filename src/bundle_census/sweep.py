@@ -11,7 +11,9 @@ ints; the records are rendered straight to bytes.  With more than one
 job the ranges are dealt round-robin to lanes: the calling process
 renders its own share and each worker lane streams its finished bytes
 down one pipe.  Ranges are always yielded in index order, so output is
-deterministic and independent of the worker count.  ``header`` and
+deterministic and independent of the worker count.  numpy loads with the
+first chunk, before any worker lane forks, so every lane inherits it;
+``multiprocessing`` loads only when a worker lane starts.  ``header`` and
 ``summary`` give the text around the records.  ``evaluate_classes`` and
 ``run_sweep`` are the single-tuple path.
 """
@@ -19,13 +21,9 @@ deterministic and independent of the worker count.  ``header`` and
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from . import kernels
 from .chern import ChernVector
@@ -146,6 +144,11 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     chunks = -(-total // CHUNK)  # len(starts) overflows past sys.maxsize chunks
     lanes = min(spec.jobs, chunks)
     workers = []
+    if lanes > 1:
+        # loaded before the first fork, so every worker lane inherits numpy
+        import multiprocessing
+
+        import numpy  # noqa: F401
     try:
         for lane in range(1, lanes):
             reader, writer = multiprocessing.Pipe(duplex=False)
@@ -196,6 +199,8 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
     failing B_r are written straight in ``fmt`` (see ``_TERM``), "" where
     none fails.
     """
+    import numpy as np
+
     bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
     stop = min(stop, spec.tuple_count())
     fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
@@ -304,9 +309,9 @@ def parse_bounds(text: str) -> tuple[tuple[int, int], ...]:
     """Parse "lo:hi,lo:hi,..." into interval pairs."""
     out = []
     for piece in text.split(","):
-        lo_text, sep, hi_text = piece.partition(":")
-        if not sep:
-            raise ValueError(f"interval {piece!r} is not of the form lo:hi")
-        lo, hi = int(lo_text), int(hi_text)
-        out.append((operator.index(lo), operator.index(hi)))
+        lo_text, _, hi_text = piece.partition(":")
+        try:  # a missing ":" leaves hi_text empty, and a second one stays in it
+            out.append((int(lo_text), int(hi_text)))
+        except ValueError:
+            raise ValueError(f"interval {piece!r} is not of the form lo:hi") from None
     return tuple(out)

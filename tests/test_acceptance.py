@@ -23,6 +23,7 @@ from bundle_census import (
     from_line_bundles,
     twist_by_line,
 )
+from conftest import child_env
 
 
 def report(number, description, ok, detail=""):
@@ -166,8 +167,8 @@ def test_criterion_7_sweep_determinism():
     args = [sys.executable, "-m", "bundle_census", "sweep",
             "--rank", "2", "--dim", "3", "--bounds", "-20:20,-20:20",
             "--format", "json"]
-    single = subprocess.run(args + ["--jobs", "1"], capture_output=True, timeout=300)
-    multi = subprocess.run(args + ["--jobs", "8"], capture_output=True, timeout=300)
+    single = subprocess.run(args + ["--jobs", "1"], capture_output=True, env=child_env(), timeout=300)
+    multi = subprocess.run(args + ["--jobs", "8"], capture_output=True, env=child_env(), timeout=300)
     identical = single.stdout == multi.stdout
     ran = single.returncode == 0 and multi.returncode == 0
     lines = single.stdout.decode().splitlines()

@@ -22,19 +22,15 @@ from bundle_census.sweep import (
     parse_bounds,
     sweep_chunks,
 )
+from conftest import child_env
 
 
 def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "bundle_census", *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
         timeout=120,
     )
 
@@ -145,6 +141,13 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--rank", "2", "--dim", "3", "--bounds", "1,2")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("piece", ["1:2:3", "a:1"])
+    def test_malformed_interval_is_named(self, piece, capsys):
+        assert cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds", f"{piece},0:1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: interval '{piece}' is not of the form lo:hi\n"
+
     def test_oversize_box_refused(self):
         proc = run_cli("sweep", "--rank", "2", "--dim", "3",
                        "--bounds", "-2:2,-2:2", "--max-tuples", "10")
@@ -200,7 +203,7 @@ class TestSweepCommand:
             with subprocess.Popen(
                 [sys.executable, "-m", "bundle_census", "sweep", "--rank", "2", "--dim", "3",
                  "--bounds=-100:100,-100:100", "--format", "json", "--jobs", jobs],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
             ) as proc:
                 assert proc.stdout.readline().startswith(b'{"classes":[-100,-100]')
                 proc.stdout.close()
@@ -249,6 +252,53 @@ class TestDiagnoseCommand:
         assert [line for line in lines if line.split()[0] == "3"][0].endswith("agree")
         assert lines[-1] == "exact and numeric paths DISAGREE"
 
+
+# run in a fresh interpreter: cli.main on argv, then which heavy modules it
+# loaded, as the last line of stderr; ``patch`` runs before cli is imported
+STARTUP_PROBE = """
+import contextlib, json, sys
+{patch}
+from bundle_census import cli
+with contextlib.suppress(SystemExit):  # --version exits through argparse
+    cli.main(sys.argv[1:])
+print(json.dumps([name in sys.modules for name in ("numpy", "multiprocessing")]), file=sys.stderr)
+"""
+
+
+def probe_startup(argv, patch=""):
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE.format(patch=patch), *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.stderr.splitlines()
+
+
+class TestStartUp:
+    """numpy and multiprocessing load only on the paths that compute with them."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--version"], [False, False]),
+        (["check", "--classes", "5,6,0"], [False, False]),
+        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], [False, False]),
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"], [True, False]),
+    ], ids=["version", "check", "count", "sweep_one_job"])
+    def test_modules_loaded(self, argv, loaded):
+        assert json.loads(probe_startup(argv)[-1]) == loaded
+
+    def test_worker_lanes_fork_after_numpy_loads(self):
+        # each lane must inherit the parent's numpy, not import its own
+        spy = """
+import multiprocessing
+start = multiprocessing.Process.start
+def spy(proc):
+    print("numpy loaded at start:", "numpy" in sys.modules, file=sys.stderr)
+    start(proc)
+multiprocessing.Process.start = spy
+"""
+        argv = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-20:20,-20:20", "--jobs", "2"]
+        *lines, loaded = probe_startup(argv, spy)
+        assert [line for line in lines if line.startswith("numpy loaded")] == [
+            "numpy loaded at start: True"]
+        assert json.loads(loaded) == [True, True]
 
 HUGE = 10**4000 + 1  # B_2 = (c_1^2 - c_1)/2 - c_2 has 8000 digits
 DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}  # Python's default limit

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from bundle_census import cli, kernels, sweep
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
+from conftest import child_env
 
 
 def reference_records(rank, dim, bounds, fmt):
@@ -255,7 +256,7 @@ def test_three_lanes_match_one_job(bounds, fmt):
     # a real stdout pipe is block-buffered, so the csv and table header is
     # still buffered when the lanes fork; it must reach stdout exactly once
     runs = [subprocess.run([sys.executable, "-m", "bundle_census", *sweep_argv(2, 3, bounds, fmt, jobs)],
-                           capture_output=True, timeout=120) for jobs in (1, 3)]
+                           capture_output=True, env=child_env(), timeout=120) for jobs in (1, 3)]
     assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
     if fmt != "json":
