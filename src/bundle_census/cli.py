@@ -230,6 +230,10 @@ def _merge_value_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # before numpy loads: its OpenBLAS would start a thread pool, which the
+    # fork of each sweep worker lane leaves behind in an unknown state; a
+    # value the caller sets is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

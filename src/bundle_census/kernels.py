@@ -13,7 +13,7 @@ place.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from typing import TYPE_CHECKING
 
 from ._kernels_py import (
@@ -30,6 +30,7 @@ __all__ = [
     "INT64_LIMIT",
     "backend_name",
     "binomial_sum_num_den",
+    "certificate",
     "certificate_below",
     "int64_certified",
     "schwarz_terms",
@@ -73,12 +74,21 @@ def int64_certified(order: int, max_abs: int) -> bool:
     return certificate_below(order, max_abs, INT64_LIMIT)
 
 
-def certificate_below(order: int, max_abs: int, limit: int) -> bool:
-    """Whether order * R(R+1)...(R+order-1) < ``limit``, R = 1 + max_abs.
+def certificate(order: int, max_abs: int) -> int:
+    """order * R(R+1)...(R+order-1), R = 1 + max_abs.
 
     The certificate bounds every value ``schwarz_terms`` forms for S_order
     on classes with |c_i| <= max_abs, reduced B_r included (see
-    ``int64_certified``).  The product stops once it reaches ``limit``.
+    ``int64_certified``).
+    """
+    return order * prod(range(1 + max_abs, 1 + max_abs + order))
+
+
+def certificate_below(order: int, max_abs: int, limit: int) -> bool:
+    """Whether ``certificate(order, max_abs) < limit``.
+
+    The product stops once it reaches ``limit``, so huge classes at a high
+    order cost a few multiplications, not the whole product.
     """
     bound = order
     for i in range(order):
@@ -122,17 +132,14 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dtype = np.int64 if int64_certified(order, max_abs) else object
     c = np.ascontiguousarray(classes.T, dtype=dtype)
     stirling, factorials = _weights(order, c.dtype)
-    # Newton's identities, one row of power sums at a time
+    # Newton's identities, p_k = (-1)^(k-1) k c_k + sum over i < k of
+    # (-1)^(i-1) c_i p_(k-i), one row of power sums at a time: a fixed
+    # number of column operations per k, so a call on few tuples of a high
+    # order costs little more than their arithmetic
+    signed = c * np.resize(np.array([1, -1], dtype=c.dtype), order)[:, None]
     p = np.empty_like(c)
     for k in range(1, order + 1):
-        acc = c[k - 1] * (k if k % 2 else -k)
-        for i in range(1, k):
-            term = c[i - 1] * p[k - i - 1]
-            if i % 2:
-                acc += term
-            else:
-                acc -= term
-        p[k - 1] = acc
+        p[k - 1] = k * signed[k - 1] + (signed[: k - 1] * p[: k - 1][::-1]).sum(axis=0)
     num = stirling @ p
     g = np.gcd(num, factorials)
     return (num // g).T, (factorials // g).T

@@ -3,12 +3,14 @@
 Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
-CHUNK tuples.  Each range is decoded once into a column array of classes
+``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
+a chunk large.  Each range is decoded once into a column array of classes
 (int64 when its indices and the box's ends fit, else Python ints) and
 handed to the batch kernel, which reads the largest |c_i| off them itself
 and runs in int64 where its overflow certificate holds, else on Python
-ints; the records are rendered straight to bytes.  With more than one
-job the ranges are dealt round-robin to lanes: the calling process
+ints; the records are rendered straight to bytes in one formatting pass
+per chunk, with text for the failing B_r alone.  With more than one job
+the ranges are dealt round-robin to lanes: the calling process
 renders its own share and each worker lane streams its finished bytes
 down one pipe.  Ranges are always yielded in index order, so output is
 deterministic and independent of the worker count.  numpy loads with the
@@ -33,9 +35,12 @@ DEFAULT_MAX_TUPLES = 10_000_000
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
-# tuples per chunk: small, so the first records reach stdout at once and a
-# worker's result is tens of kB
-CHUNK = 256
+# the most tuples per chunk: few enough that the first records reach stdout
+# at once, enough that numpy's cost per call is spread over many tuples
+CHUNK = 1024
+# a chunk's budget of order * bits per tuple, bits being the certificate's
+# bit length (see chunk_tuples): at order 400 it holds a single tuple
+_CHUNK_BITS = 2**19
 FORMATS = ("json", "csv", "table")
 # a chunk is decoded in int64 when its indices and every interval end are
 # below this in absolute value: every radix hi - lo + 1 then fits it too
@@ -125,8 +130,9 @@ class Chunk(NamedTuple):
 def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """Every record of the box rendered in ``fmt``, one chunk at a time.
 
-    The box's linear index is cut into ranges of CHUNK tuples, and chunk k
-    is rendered by lane k mod L, L being ``spec.jobs`` or the number of
+    The box's linear index is cut into ranges of ``chunk_tuples(spec)``
+    tuples, sized once here and passed to every lane, and chunk k is
+    rendered by lane k mod L, L being ``spec.jobs`` or the number of
     chunks if that is smaller.  Lane 0 is this process, rendering inline;
     every other lane is one process sending its chunks, in index order,
     down its own one-way pipe.  A lane blocks once its pipe is full, so
@@ -139,9 +145,9 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    total = spec.tuple_count()
-    starts = range(0, total, CHUNK)
-    chunks = -(-total // CHUNK)  # len(starts) overflows past sys.maxsize chunks
+    total, size = spec.tuple_count(), chunk_tuples(spec)
+    starts = range(0, total, size)
+    chunks = -(-total // size)  # len(starts) overflows past sys.maxsize chunks
     lanes = min(spec.jobs, chunks)
     workers = []
     if lanes > 1:
@@ -154,12 +160,12 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
                 target=_lane_main, name=f"sweep-lane-{lane}", daemon=True,
-                args=(writer, spec, fmt, starts[lane::lanes]),
+                args=(writer, spec, fmt, starts[lane::lanes], size),
             )
             proc.start()
             workers.append((reader, proc))
             writer.close()  # so the reader sees end of file once the lane exits
-        own = (render_chunk(spec, fmt, start, start + CHUNK) for start in starts[::lanes])
+        own = (render_chunk(spec, fmt, start, start + size) for start in starts[::lanes])
         for k in range(chunks):
             lane = k % lanes
             yield next(own) if lane == 0 else _receive(*workers[lane - 1], lane, lanes)
@@ -171,10 +177,28 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
             reader.close()
 
 
-def _lane_main(writer, spec: SweepSpec, fmt: str, starts: range) -> None:
-    """A worker lane: render the chunks at ``starts`` and send them in order."""
+def chunk_tuples(spec: SweepSpec) -> int:
+    """Tuples per chunk of the box: CHUNK, or fewer where the B_r are long.
+
+    Every numerator and denominator of S_N on the box is below the
+    certificate N R(R+1)...(R+N-1), R = 1 + the largest |end| of the box
+    (``kernels.certificate``), so a tuple's N - 1 fractions take at most
+    about 2 N bits, bits being its bit length.  A chunk holds
+    _CHUNK_BITS // (N bits) tuples, at least one and at most CHUNK; a box
+    tested by no condition takes CHUNK.
+    """
+    order = counting_rule(spec.rank, spec.dim).order
+    if order is None:
+        return CHUNK
+    max_abs = max(abs(end) for ends in spec.bounds for end in ends)
+    bits = kernels.certificate(order, max_abs).bit_length()
+    return max(1, min(CHUNK, _CHUNK_BITS // (order * bits)))
+
+
+def _lane_main(writer, spec: SweepSpec, fmt: str, starts: range, size: int) -> None:
+    """A worker lane: render the chunks of ``size`` tuples at ``starts`` and send them in order."""
     for start in starts:
-        writer.send(render_chunk(spec, fmt, start, start + CHUNK))
+        writer.send(render_chunk(spec, fmt, start, start + size))
 
 
 def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
@@ -195,9 +219,9 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
     ``stop`` may run past the box's end and is clipped to it.  The range
     is decoded once into a column array of classes, in int64 when every
     index and interval end fits it, else in Python ints; the batch kernel
-    picks its own arithmetic from the decoded classes.  Each tuple's
-    failing B_r are written straight in ``fmt`` (see ``_TERM``), "" where
-    none fails.
+    picks its own arithmetic from the decoded classes.  Only the failing
+    B_r are written, straight in ``fmt`` (see ``_TERM``), and each row that
+    has one gets its text joined once.
     """
     import numpy as np
 
@@ -210,19 +234,23 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
         lo, hi = bounds[j]
         index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
         classes[:, j] = digit + lo
-    failing = [""] * len(classes)
+    failing = {}  # row -> its failing B_r as text, for the rows with one
     satisfied = True
     if rule.order is not None:
         num, den = kernels.schwarz_terms_batch(classes)
-        satisfied = (den == 1).all(axis=1)
-        if not satisfied.all():
-            # one column of r at a time, each term led by its separator,
-            # which the join leaves in front of every row's first term
+        fails = den != 1
+        satisfied = ~fails.any(axis=1)
+        # row-major, so each row's terms come out in r order
+        rows, cols = np.nonzero(fails)
+        if len(rows):
             head, tail = _TERM[fmt]
-            cols = [[f"{h}{n}/{d}{tail}" if d != 1 else "" for n, d in zip(nums, dens)]
-                    for h, nums, dens in zip(map(head.format, itertools.count(2)),
-                                             num.T.tolist(), den.T.tolist())]
-            failing = [text[1:] for text in map("".join, zip(*cols))]
+            heads = [head.format(r) for r in range(2, rule.order + 1)]
+            terms = [f"{heads[c]}{n}/{d}{tail}" for c, n, d in
+                     zip(cols.tolist(), num[rows, cols].tolist(), den[rows, cols].tolist())]
+            cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(terms)]
+            # each term is led by its separator, which [1:] drops from a row's first
+            failing = {row: "".join(terms[a:b])[1:]
+                       for row, a, b in zip(rows[cuts[:-1]].tolist(), cuts, cuts[1:])}
     counts = rule.count(satisfied, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
     # every class lies between the box's ends, so small ends make every class small
@@ -241,13 +269,13 @@ _TERM = {
 
 
 def _render_json(columns, counts, failing, regime, small):
-    to_text = str if small else _json_class
-    classes = map(",".join, zip(*(map(to_text, col) for col in columns)))
+    if not small:
+        columns = [list(map(_json_class, col)) for col in columns]
     mid = {c: f',"count":{"null" if c is None else c},"regime":"{regime}","failing_r":['
            for c in set(counts)}
     end = {c: f'],"extension":{"true" if c == 2 else "false"}}}\n' for c in set(counts)}
-    return "".join([f'{{"classes":[{text}]{mid[c]}{f}{end[c]}'
-                    for text, c, f in zip(classes, counts, failing)])
+    row = '{"classes":[' + ",".join(["%s"] * len(columns)) + "]%s"
+    return _fill(row, columns, counts, failing, mid, end)
 
 
 def _json_class(c: int) -> str:
@@ -257,18 +285,33 @@ def _json_class(c: int) -> str:
 
 
 def _render_csv(columns, counts, failing, regime, small):
-    classes = map(";".join, zip(*(map(str, col) for col in columns)))
     mid = {c: f",{'unknown' if c is None else c},{regime}," for c in set(counts)}
     end = {c: f",{'true' if c == 2 else 'false'}\n" for c in set(counts)}
-    return "".join([f"{text}{mid[c]}{f}{end[c]}" for text, c, f in zip(classes, counts, failing)])
+    return _fill(";".join(["%s"] * len(columns)) + "%s", columns, counts, failing, mid, end)
+
+
+def _fill(row, columns, counts, failing, mid, end):
+    """Every record of the chunk from one ``%`` of ``row`` repeated per tuple.
+
+    ``row`` takes a tuple's classes and then its tail, the ``mid`` and
+    ``end`` of its count around its failing text; the tail of a tuple with
+    none is built once per count.  Every text goes in as an argument, so
+    none is parsed as a format.
+    """
+    passing = {c: mid[c] + end[c] for c in mid}
+    tails = [passing[c] for c in counts]
+    for i, text in failing.items():
+        c = counts[i]
+        tails[i] = f"{mid[c]}{text}{end[c]}"
+    return row * len(counts) % tuple(itertools.chain.from_iterable(zip(*columns, tails)))
 
 
 def _render_table(columns, counts, failing, regime, small):
     width = table_width(len(columns))
     return "".join([
         f"{str(row):<{width}} {'unknown' if c is None else c:>7} {regime:<13} "
-        f"{f:<20} {'yes' if c == 2 else 'no'}\n"
-        for row, c, f in zip(zip(*columns), counts, failing)
+        f"{failing.get(i, ''):<20} {'yes' if c == 2 else 'no'}\n"
+        for i, (row, c) in enumerate(zip(zip(*columns), counts))
     ])
 
 

@@ -265,9 +265,9 @@ print(json.dumps([name in sys.modules for name in ("numpy", "multiprocessing")])
 """
 
 
-def probe_startup(argv, patch=""):
+def probe_startup(argv, patch="", env=None):
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE.format(patch=patch), *argv],
-                          capture_output=True, text=True, env=child_env(), timeout=120)
+                          capture_output=True, text=True, env=env or child_env(), timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.stderr.splitlines()
 
@@ -284,21 +284,42 @@ class TestStartUp:
     def test_modules_loaded(self, argv, loaded):
         assert json.loads(probe_startup(argv)[-1]) == loaded
 
-    def test_worker_lanes_fork_after_numpy_loads(self):
-        # each lane must inherit the parent's numpy, not import its own
-        spy = """
-import multiprocessing
+    # before each worker lane starts: whether numpy is loaded, and the
+    # threads of the forking process, which fork leaves behind in the lane
+    LANE_SPY = """
+import multiprocessing, os
 start = multiprocessing.Process.start
 def spy(proc):
     print("numpy loaded at start:", "numpy" in sys.modules, file=sys.stderr)
+    if os.path.isdir("/proc/self/task"):
+        print("threads at start:", len(os.listdir("/proc/self/task")), file=sys.stderr)
     start(proc)
 multiprocessing.Process.start = spy
 """
-        argv = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-20:20,-20:20", "--jobs", "2"]
-        *lines, loaded = probe_startup(argv, spy)
-        assert [line for line in lines if line.startswith("numpy loaded")] == [
-            "numpy loaded at start: True"]
+    # 6561 tuples: several chunks, so one worker lane starts
+    LANE_ARGV = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--jobs", "2"]
+
+    def probe_lane_start(self, blas_threads):
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        *lines, loaded = probe_startup(self.LANE_ARGV, self.LANE_SPY, env)
         assert json.loads(loaded) == [True, True]
+        return [line for line in lines if line.startswith(("numpy loaded", "threads at start"))]
+
+    def test_worker_lanes_fork_after_numpy_loads(self):
+        # each lane must inherit the parent's numpy, not import its own, and
+        # fork from a process whose only thread is the one fork copies
+        lines = self.probe_lane_start(None)
+        assert lines[0] == "numpy loaded at start: True"
+        if os.path.isdir("/proc/self/task"):
+            assert lines == ["numpy loaded at start: True", "threads at start: 1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_lane_probe_counts_blas_threads(self):
+        # a thread count the caller sets is kept, and the probe above sees it
+        assert self.probe_lane_start("2")[-1] == "threads at start: 2"
 
 HUGE = 10**4000 + 1  # B_2 = (c_1^2 - c_1)/2 - c_2 has 8000 digits
 DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}  # Python's default limit
@@ -427,13 +448,17 @@ class TestSweepModule:
             return chunk
 
         monkeypatch.setattr(sweep, "render_chunk", render)
+        # chunks of 256 short records, several to a pipe, so some are sent
+        # before one blocks
+        monkeypatch.setattr(sweep, "CHUNK", 256)
         spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
+        size = sweep.chunk_tuples(spec)
         reader, writer = multiprocessing.Pipe(duplex=False)
         try:
             capacity = fcntl.fcntl(writer.fileno(), fcntl.F_GETPIPE_SZ)
             os.set_blocking(writer.fileno(), False)
             with pytest.raises(BlockingIOError):
-                sweep._lane_main(writer, spec, "json", range(0, spec.tuple_count(), sweep.CHUNK))
+                sweep._lane_main(writer, spec, "json", range(0, spec.tuple_count(), size), size)
         finally:
             reader.close()
             writer.close()

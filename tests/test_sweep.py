@@ -25,10 +25,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundle_census import cli, kernels, sweep
+from bundle_census.enumeration import counting_rule
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
 from conftest import child_env
 
@@ -109,7 +110,8 @@ BOXES = {
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
 @pytest.mark.parametrize("box", BOXES)
-@pytest.mark.parametrize("chunk", [1, 7, sweep.CHUNK])
+# CHUNK at 256: a ceiling that cuts most of these boxes into several chunks
+@pytest.mark.parametrize("chunk", [1, 7, 256])
 def test_matches_reference(box, fmt, chunk, monkeypatch):
     monkeypatch.setattr(sweep, "CHUNK", chunk)
     rank, dim, bounds = BOXES[box]
@@ -131,6 +133,7 @@ def spy_on_kernel(patch):
 
 
 def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
+    monkeypatch.setattr(sweep, "CHUNK", 256)
     dtypes = spy_on_kernel(monkeypatch)
     for box in ("straddles_certificate", "straddles_negative"):
         rank, dim, bounds = BOXES[box]
@@ -167,6 +170,77 @@ def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, dtype, monkey
     assert field in got
     pair = (FAILS_EVERY_R, sweep.evaluate_classes(6, 7, FAILS_EVERY_R))
     assert got.encode() == render_reference([pair], len(FAILS_EVERY_R), fmt)
+
+
+# a chunk whose every row fails S_7 at every r from 3 to 7, and one whose
+# every row passes S_3 (c_1 c_2 even)
+FAILS_EVERY_R_BOX = (6, 7, ((-4, -4), (-5, -4), (-3, -3), (-5, -4), (-2, -2), (-2, -2)))
+PASSES_EVERY_R_BOX = (2, 3, ((0, 0), (-9, 9)))
+
+
+def test_every_row_fails_every_r_or_none():
+    for (rank, dim, bounds), failing in ((FAILS_EVERY_R_BOX, [3, 4, 5, 6, 7]), (PASSES_EVERY_R_BOX, [])):
+        results = list(run_sweep(SweepSpec(rank, dim, bounds)))
+        assert len(results) > 1
+        assert all([t.r for t in result.report.failing()] == failing for result in results)
+
+
+@st.composite
+def small_boxes(draw):
+    """Rank 1 to 6 on CP^1 to CP^(rank+2), every counting regime, some classes past 2^53."""
+    rank = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, rank + 2))
+    bounds = []
+    for width in ((4, 2) + (1,) * 4)[:min(rank, dim)]:
+        lo = draw(st.sampled_from([0, 0, 0, BIG, -BIG - 2])) + draw(st.integers(-4, 4))
+        bounds.append((lo, lo + draw(st.integers(0, width))))
+    return rank, dim, tuple(bounds)
+
+
+@given(box=st.one_of(st.just(FAILS_EVERY_R_BOX), st.just(PASSES_EVERY_R_BOX), small_boxes()),
+       fmt=st.sampled_from(sweep.FORMATS), chunk=st.sampled_from([1, 7, None]), int64=st.booleans())
+@example(box=FAILS_EVERY_R_BOX, fmt="json", chunk=None, int64=True)
+@example(box=FAILS_EVERY_R_BOX, fmt="csv", chunk=None, int64=False)
+@example(box=FAILS_EVERY_R_BOX, fmt="table", chunk=1, int64=True)
+@example(box=PASSES_EVERY_R_BOX, fmt="json", chunk=7, int64=False)
+@example(box=PASSES_EVERY_R_BOX, fmt="csv", chunk=None, int64=True)
+@settings(max_examples=120, deadline=None)
+def test_random_boxes_match_reference(box, fmt, chunk, int64):
+    # chunk None keeps CHUNK, so the computed size applies; int64 False
+    # refuses the certificate, so every chunk runs on Python ints
+    rank, dim, bounds = box
+    spec = SweepSpec(rank, dim, bounds)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(sweep, "CHUNK", chunk)
+        if not int64:
+            patch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
+        size = sweep.chunk_tuples(spec)
+        dtypes = spy_on_kernel(patch)
+        got = swept(spec, fmt)
+    assert got == reference_records(rank, dim, bounds, fmt)
+    if counting_rule(rank, dim).order is not None:
+        assert len(dtypes) == -(-spec.tuple_count() // size)
+        assert int64 or set(dtypes) == {np.dtype(object)}
+
+
+def test_chunk_size_follows_the_certificate():
+    # at the order cap one tuple's B_r alone pass the bit budget
+    assert sweep.chunk_tuples(SweepSpec(399, 400, ((-3, 3),) * 399, max_tuples=7**399)) == 1
+    # boxes shaped like rank2-box and rank6-spine, and one tested by no condition
+    assert sweep.chunk_tuples(SweepSpec(2, 3, ((-150, 150),) * 2)) == sweep.CHUNK
+    assert sweep.chunk_tuples(SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)) == sweep.CHUNK
+    assert sweep.chunk_tuples(SweepSpec(1, 4, ((-300, 300),))) == sweep.CHUNK
+    # bignum's classes near 2e25: a 339-bit certificate, 2^19 // (4 * 339)
+    bignum = ((10**25, 10**25 + 199), (-2 * 10**25, -2 * 10**25 + 99), (10**25 // 7, 10**25 // 7))
+    assert sweep.chunk_tuples(SweepSpec(3, 4, bignum)) == 386
+
+
+def test_sweep_at_the_order_cap_holds_one_tuple_per_chunk():
+    bounds = ((0, 2),) + ((3, 3), (-3, -3)) * 199  # 399 classes, 3 tuples
+    chunks = list(sweep_chunks(SweepSpec(399, 400, bounds), "csv"))
+    assert [sum(chunk.counts.values()) for chunk in chunks] == [1, 1, 1]
+    assert [chunk.data.count(b"\n") for chunk in chunks] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
