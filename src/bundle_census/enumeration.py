@@ -201,12 +201,13 @@ def count_bundles(v: ChernVector) -> BundleCount:
     if count == 2:
         # a bundle on CP^(dim+1) has c_(n+1) = c_(n+2) = 0 and restricts to one
         # with the same c_1..c_n, so either class extends only if S_(n+2) holds
-        # on (c, 0, 0); only r is named, since the digit cap admits S_(n+1) only
+        # on (c, 0, 0).  S_(n+1) holds on (c, 0), and a further zero root adds
+        # C(0, r) = 0 to each B_r, so only B_(n+2) can fail.  Only r is named,
+        # since the digit cap admits S_(n+1) only
         order = v.rank + 2
-        failing = check_schwarzenberger(v.padded(order), order).failing()
-        if failing:
+        if binomial_sum(v, order).denominator != 1:
             note = (f"neither of the two isomorphism classes extends to CP^{v.dim + 1}: "
-                    f"S_{order} fails at r = {failing[0].r} with c_{order - 1} = c_{order} = 0")
+                    f"S_{order} fails at r = {order} with c_{order - 1} = c_{order} = 0")
         else:
             note = f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
     return BundleCount(count=count, regime=rule.regime, extension_note=note, report=report)

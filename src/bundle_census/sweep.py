@@ -4,20 +4,21 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
-a chunk large.  Each range is decoded once into a column array of classes
-(int64 when its indices and the box's ends fit, else Python ints) and
-handed to the batch kernel, which reads the largest |c_i| off them itself
-and runs in int64 where its overflow certificate holds, else on Python
-ints; the records are rendered straight to bytes in one formatting pass
-per chunk, with text for the failing B_r alone.  With more than one job
-the ranges are dealt round-robin to lanes: the calling process
-renders its own share and each worker lane streams its finished bytes
-down one pipe.  Ranges are always yielded in index order, so output is
-deterministic and independent of the worker count.  numpy loads with the
-first chunk, before any worker lane forks, so every lane inherits it;
-``multiprocessing`` loads only when a worker lane starts.  ``header`` and
-``summary`` give the text around the records.  ``evaluate_classes`` and
-``run_sweep`` are the single-tuple path.
+a chunk large.  Each range goes through two stages.  ``classify`` decodes
+it once into a column array of classes (int64 when its indices and the
+box's ends fit, else Python ints), hands that to the batch kernel, which
+reads the largest |c_i| off it and runs in int64 where its overflow
+certificate holds, else on Python ints, and applies the counting rule: the
+verdicts, with no text.  ``render`` writes them to bytes, every format
+alike: one ``%`` over the chunk's failing B_r, then one over its records.
+With more than one job the ranges are dealt round-robin to lanes: the
+calling process renders its own share and each worker lane streams its
+finished bytes down one pipe.  Ranges are always yielded in index order,
+so output is deterministic and independent of the worker count.  numpy
+loads with the first chunk, before any worker lane forks, so every lane
+inherits it; ``multiprocessing`` loads only when a worker lane starts.
+``header`` and ``summary`` give the text around the records.
+``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
 """
 
 from __future__ import annotations
@@ -213,15 +214,34 @@ def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
         ) from None
 
 
+class Verdicts(NamedTuple):
+    """The classification of one index range of the box, before any text.
+
+    ``columns`` holds the stored classes, one list per class, and
+    ``counts`` the count of each tuple: 0, 1, 2, or None where unknown.
+    ``failing`` gives the number of B_r of each tuple that are not
+    integers, and ``terms`` those B_r row-major, each tuple's in r order,
+    as flat triples r, num, den with B_r = num/den in lowest terms.
+    """
+
+    columns: list
+    counts: list
+    failing: list
+    terms: list
+
+
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
-    """Records of the tuples with linear index in [start, stop), as bytes.
+    """Records of the tuples with linear index in [start, stop), as bytes."""
+    return render(spec, fmt, classify(spec, start, stop))
+
+
+def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
+    """Verdicts on the tuples with linear index in [start, stop).
 
     ``stop`` may run past the box's end and is clipped to it.  The range
     is decoded once into a column array of classes, in int64 when every
     index and interval end fits it, else in Python ints; the batch kernel
-    picks its own arithmetic from the decoded classes.  Only the failing
-    B_r are written, straight in ``fmt`` (see ``_TERM``), and each row that
-    has one gets its text joined once.
+    picks its own arithmetic from the decoded classes.
     """
     import numpy as np
 
@@ -234,88 +254,67 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
         lo, hi = bounds[j]
         index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
         classes[:, j] = digit + lo
-    failing = {}  # row -> its failing B_r as text, for the rows with one
-    satisfied = True
+    failing, terms = np.zeros(len(classes), dtype=np.int64), []
     if rule.order is not None:
         num, den = kernels.schwarz_terms_batch(classes)
         fails = den != 1
-        satisfied = ~fails.any(axis=1)
-        # row-major, so each row's terms come out in r order
-        rows, cols = np.nonzero(fails)
-        if len(rows):
-            head, tail = _TERM[fmt]
-            heads = [head.format(r) for r in range(2, rule.order + 1)]
-            terms = [f"{heads[c]}{n}/{d}{tail}" for c, n, d in
-                     zip(cols.tolist(), num[rows, cols].tolist(), den[rows, cols].tolist())]
-            cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(terms)]
-            # each term is led by its separator, which [1:] drops from a row's first
-            failing = {row: "".join(terms[a:b])[1:]
-                       for row, a, b in zip(rows[cuts[:-1]].tolist(), cuts, cuts[1:])}
-    counts = rule.count(satisfied, classes[:, 0])
+        failing = fails.sum(axis=1)
+        rows, cols = np.nonzero(fails)  # row-major, so each row's terms come out in r order
+        cells = (cols + 2, num[rows, cols], den[rows, cols])
+        terms = np.stack(cells, axis=1).ravel().tolist()
+    counts = rule.count(failing == 0, classes[:, 0])
     counts = [None] * len(classes) if counts is None else counts.tolist()
-    # every class lies between the box's ends, so small ends make every class small
-    small = all(abs(end) <= _SAFE_JSON_INT for ends in bounds for end in ends)
-    text = _RENDER[fmt](classes[:, : len(bounds)].T.tolist(), counts, failing, rule.regime, small)
-    return Chunk(text.encode(), Counter(counts))
+    return Verdicts(classes[:, : len(bounds)].T.tolist(), counts, failing.tolist(), terms)
 
 
-# one failing B_r as each format writes it: a one-character separator and
-# the text before the fraction, as a template for r, then the text after it
-_TERM = {
-    "json": (',{{"r":{},"value":"', '"}'),
-    "csv": (";{}=", ""),
-    "table": (";{}=", ""),
+# per format: a failing B_r's template, led by its one-character separator;
+# a record's, whose {fields} str.format fills per count and whose %s take the
+# classes and failing text; the words for an unknown count, and for no and yes
+_FORMAT = {
+    "json": (',{"r":%d,"value":"%s/%s"}',
+             '{{"classes":[{classes}],"count":{count},"regime":"{regime}",'
+             '"failing_r":[%s],"extension":{ext}}}\n',
+             "null", "false", "true"),
+    "csv": (";%d=%s/%s", "{classes},{count},{regime},%s,{ext}\n", "unknown", "false", "true"),
+    "table": (";%d=%s/%s", "{classes} {count:>7} {regime:<13} %-20s {ext}\n",
+              "unknown", "no", "yes"),
 }
 
 
-def _render_json(columns, counts, failing, regime, small):
-    if not small:
-        columns = [list(map(_json_class, col)) for col in columns]
-    mid = {c: f',"count":{"null" if c is None else c},"regime":"{regime}","failing_r":['
-           for c in set(counts)}
-    end = {c: f'],"extension":{"true" if c == 2 else "false"}}}\n' for c in set(counts)}
-    row = '{"classes":[' + ",".join(["%s"] * len(columns)) + "]%s"
-    return _fill(row, columns, counts, failing, mid, end)
+def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> Chunk:
+    """The records of a chunk's verdicts in ``fmt``, as bytes.
 
-
-def _json_class(c: int) -> str:
-    # beyond 53 bits a double-based JSON parser would silently round, so
-    # the class is written as a string, the bytes json.dumps gives its digits
-    return str(c) if abs(c) <= _SAFE_JSON_INT else f'"{c}"'
-
-
-def _render_csv(columns, counts, failing, regime, small):
-    mid = {c: f",{'unknown' if c is None else c},{regime}," for c in set(counts)}
-    end = {c: f",{'true' if c == 2 else 'false'}\n" for c in set(counts)}
-    return _fill(";".join(["%s"] * len(columns)) + "%s", columns, counts, failing, mid, end)
-
-
-def _fill(row, columns, counts, failing, mid, end):
-    """Every record of the chunk from one ``%`` of ``row`` repeated per tuple.
-
-    ``row`` takes a tuple's classes and then its tail, the ``mid`` and
-    ``end`` of its count around its failing text; the tail of a tuple with
-    none is built once per count.  Every text goes in as an argument, so
-    none is parsed as a format.
+    One ``%`` writes every failing B_r of the chunk.  Each failing tuple's
+    terms open with a newline in place of their first separator, so the
+    text splits into the failing tuples' texts.  A second ``%`` fills the
+    chunk's records, each the template of its count, with every tuple's
+    classes and failing text.
     """
-    passing = {c: mid[c] + end[c] for c in mid}
-    tails = [passing[c] for c in counts]
-    for i, text in failing.items():
-        c = counts[i]
-        tails[i] = f"{mid[c]}{text}{end[c]}"
-    return row * len(counts) % tuple(itertools.chain.from_iterable(zip(*columns, tails)))
-
-
-def _render_table(columns, counts, failing, regime, small):
-    width = table_width(len(columns))
-    return "".join([
-        f"{str(row):<{width}} {'unknown' if c is None else c:>7} {regime:<13} "
-        f"{failing.get(i, ''):<20} {'yes' if c == 2 else 'no'}\n"
-        for i, (row, c) in enumerate(zip(zip(*columns), counts))
-    ])
-
-
-_RENDER = {"json": _render_json, "csv": _render_csv, "table": _render_table}
+    columns, counts, failing, terms = verdicts
+    term, record, unknown, no, yes = _FORMAT[fmt]
+    lead = {k: "\n" + (term * k)[1:] for k in set(failing)}
+    text = "".join(map(lead.__getitem__, filter(None, failing))) % tuple(terms)
+    texts = [""] * len(counts)
+    rows = itertools.compress(itertools.count(), failing)
+    for row, row_text in zip(rows, text.split("\n")[1:]):
+        texts[row] = row_text
+    n = len(columns)
+    if fmt == "table":
+        columns, classes = [list(map(str, zip(*columns)))], f"%-{table_width(n)}s"
+    else:
+        classes = ("," if fmt == "json" else ";").join(["%s"] * n)
+    # beyond 53 bits a double-based JSON parser would silently round, so such
+    # a class is written as a string, the bytes json.dumps gives its digits;
+    # every class lies between the box's ends, so small ends make every class small
+    if fmt == "json" and any(abs(end) > _SAFE_JSON_INT for ends in spec.bounds for end in ends):
+        columns = [[c if abs(c) <= _SAFE_JSON_INT else f'"{c}"' for c in col] for col in columns]
+    regime = counting_rule(spec.rank, spec.dim).regime
+    records = {c: record.format(classes=classes, count=unknown if c is None else c,
+                                regime=regime, ext=yes if c == 2 else no)
+               for c in set(counts)}
+    args = itertools.chain.from_iterable(zip(*columns, texts))
+    text = "".join(map(records.__getitem__, counts)) % tuple(args)
+    return Chunk(text.encode(), Counter(counts))
 
 
 def table_width(n_classes: int) -> int:

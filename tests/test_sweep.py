@@ -3,16 +3,18 @@
 The reference, ``run_sweep``, runs ``count_bundles`` on every tuple of
 ``itertools.product``; each (classes, BundleCount) pair is rendered here
 exactly as the record-at-a-time CLI did, sharing no code with the sweep's
-renderers: JSON by ``json.dumps`` of a dict built here, with classes past
+renderer: JSON by ``json.dumps`` of a dict built here, with classes past
 2^53 - 1 as strings, CSV by ``csv.writer`` and the table by its format
 string.  The chunked sweep must give the same bytes for every format,
-chunk size, kernel path and worker count.
+chunk size, kernel path and worker count.  Its verdict stage,
+``sweep.classify``, is also held to ``count_bundles`` field by field.
 """
 
 import contextlib
 import csv
 import fcntl
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -116,6 +118,33 @@ def test_matches_reference(box, fmt, chunk, monkeypatch):
     monkeypatch.setattr(sweep, "CHUNK", chunk)
     rank, dim, bounds = BOXES[box]
     assert swept(SweepSpec(rank, dim, bounds), fmt) == reference_records(rank, dim, bounds, fmt)
+
+
+@pytest.mark.parametrize("box", BOXES)
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_verdicts_match_count_bundles(box, chunk, monkeypatch):
+    # the verdict stage alone, field by field, so that a wrong verdict and a
+    # wrong text fail different tests; chunk None keeps the computed size
+    if chunk is not None:
+        monkeypatch.setattr(sweep, "CHUNK", chunk)
+    rank, dim, bounds = BOXES[box]
+    spec = SweepSpec(rank, dim, bounds)
+    size = sweep.chunk_tuples(spec)
+    got = []
+    for start in range(0, spec.tuple_count(), size):
+        columns, counts, failing, terms = sweep.classify(spec, start, start + size)
+        cells = zip(terms[::3], terms[1::3], terms[2::3])
+        got += [(classes, count, list(itertools.islice(cells, k)))
+                for classes, count, k in zip(zip(*columns), counts, failing)]
+        assert next(cells, None) is None
+    want = []
+    for classes, result in zip(iter_box(bounds), run_sweep(spec)):
+        failing = result.report.failing() if result.report else ()
+        want.append((classes, result.count,
+                     [(t.r, t.value.numerator, t.value.denominator) for t in failing]))
+    assert [g[0] for g in got] == [w[0] for w in want]
+    assert [g[1] for g in got] == [w[1] for w in want]
+    assert [g[2] for g in got] == [w[2] for w in want]
 
 
 def spy_on_kernel(patch):
