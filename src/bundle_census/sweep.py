@@ -12,11 +12,12 @@ certificate holds, else on Python ints, and applies the counting rule: the
 verdicts, with no text.  ``render`` writes them to bytes, every format
 alike: one ``%`` over the chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
-calling process renders its own share and each worker lane streams its
-finished bytes down one pipe.  Ranges are always yielded in index order,
-so output is deterministic and independent of the worker count.  numpy
-loads with the first chunk, before any worker lane forks, so every lane
-inherits it; ``multiprocessing`` loads only when a worker lane starts.
+calling process renders its own share and each worker lane, a bare
+``os.fork`` child, streams its finished chunks down one raw pipe, each
+as a ``struct`` header (the data's length and the tuples of count 0, 1,
+2 and unknown) followed by the data.  Ranges are always yielded in index
+order, so output is deterministic and independent of the worker count.
+numpy loads before the first worker lane forks, so every lane inherits it.
 ``header`` and ``summary`` give the text around the records.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
 """
@@ -24,6 +25,10 @@ inherits it; ``multiprocessing`` loads only when a worker lane starts.
 from __future__ import annotations
 
 import itertools
+import os
+import signal
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -46,6 +51,11 @@ FORMATS = ("json", "csv", "table")
 # a chunk is decoded in int64 when its indices and every interval end are
 # below this in absolute value: every radix hi - lo + 1 then fits it too
 _INT64_INDEX = 2**62
+
+# a worker lane's frame header: the chunk's data length, then its tuples of
+# count 0, 1, 2 and unknown, in _COUNT_KEYS order
+_FRAME = struct.Struct("5Q")
+_COUNT_KEYS = (0, 1, 2, None)
 
 # largest integer JSON readers with double-precision parsers keep exact
 _SAFE_JSON_INT = 2**53 - 1
@@ -135,12 +145,12 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     tuples, sized once here and passed to every lane, and chunk k is
     rendered by lane k mod L, L being ``spec.jobs`` or the number of
     chunks if that is smaller.  Lane 0 is this process, rendering inline;
-    every other lane is one process sending its chunks, in index order,
-    down its own one-way pipe.  A lane blocks once its pipe is full, so
+    every other lane is one forked process writing its chunks, in index
+    order, to its own pipe.  A lane blocks once its pipe is full, so
     what is in flight stays bounded by one pipe per worker lane however
     slowly the chunks are consumed.  Chunks are yielded in index order,
     so the bytes do not depend on the worker count.  Every worker lane is
-    killed and joined on the way out: after the last chunk, on close by
+    killed and reaped on the way out: after the last chunk, on close by
     the consumer, and on error.  Raises LaneDied if a worker lane stops
     early.
     """
@@ -152,30 +162,17 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     lanes = min(spec.jobs, chunks)
     workers = []
     if lanes > 1:
-        # loaded before the first fork, so every worker lane inherits numpy
-        import multiprocessing
-
-        import numpy  # noqa: F401
+        import numpy  # noqa: F401  loaded before the first fork, so every worker lane inherits it
     try:
         for lane in range(1, lanes):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_lane_main, name=f"sweep-lane-{lane}", daemon=True,
-                args=(writer, spec, fmt, starts[lane::lanes], size),
-            )
-            proc.start()
-            workers.append((reader, proc))
-            writer.close()  # so the reader sees end of file once the lane exits
+            workers.append(_Lane(_lane_main, spec, fmt, starts[lane::lanes], size))
         own = (render_chunk(spec, fmt, start, start + size) for start in starts[::lanes])
         for k in range(chunks):
             lane = k % lanes
-            yield next(own) if lane == 0 else _receive(*workers[lane - 1], lane, lanes)
+            yield next(own) if lane == 0 else workers[lane - 1].receive(lane, lanes)
     finally:
-        for reader, proc in workers:
-            proc.kill()
-        for reader, proc in workers:
-            proc.join()
-            reader.close()
+        for worker in workers:
+            worker.close()
 
 
 def chunk_tuples(spec: SweepSpec) -> int:
@@ -196,22 +193,76 @@ def chunk_tuples(spec: SweepSpec) -> int:
     return max(1, min(CHUNK, _CHUNK_BITS // (order * bits)))
 
 
-def _lane_main(writer, spec: SweepSpec, fmt: str, starts: range, size: int) -> None:
-    """A worker lane: render the chunks of ``size`` tuples at ``starts`` and send them in order."""
+def _lane_main(writer: int, spec: SweepSpec, fmt: str, starts: range, size: int) -> None:
+    """A worker lane: render the chunks of ``size`` tuples at ``starts`` and write them in order.
+
+    Each chunk goes to the pipe ``writer`` as one frame, its _FRAME header
+    followed by its data.  A write blocks while the pipe is full.
+    """
     for start in starts:
-        writer.send(render_chunk(spec, fmt, start, start + size))
+        chunk = render_chunk(spec, fmt, start, start + size)
+        counts = map(chunk.counts.__getitem__, _COUNT_KEYS)
+        frame = memoryview(_FRAME.pack(len(chunk.data), *counts) + chunk.data)
+        while frame:
+            frame = frame[os.write(writer, frame):]
 
 
-def _receive(reader, proc, lane: int, lanes: int) -> Chunk:
-    """The next chunk from a worker lane; LaneDied if its pipe has ended."""
-    try:
-        return reader.recv()
-    except (EOFError, OSError):  # end of file between two chunks or inside one
-        proc.join()
+class _Lane:
+    """A forked child running ``target(writer, *args)``.
+
+    ``writer`` is the write end of a pipe that this process reads.  The
+    child ends with ``os._exit``: code 0 once ``target`` returns, else 1
+    after printing the exception's traceback.
+    """
+
+    def __init__(self, target, *args):
+        # what the streams hold so far is written once, by this process
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+        self.exitcode = None
+        reader, writer = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(reader)
+            os.close(writer)
+            raise
+        if self.pid == 0:  # the child, which must never return into its caller
+            code = 1
+            try:
+                os.close(reader)
+                target(writer, *args)
+                code = 0
+            except BaseException:  # printed as an uncaught exception would be; exit 1
+                sys.excepthook(*sys.exc_info())
+            finally:
+                os._exit(code)
+        os.close(writer)  # so the reader sees end of file once the lane exits
+        self.reader = open(reader, "rb")
+
+    def receive(self, lane: int, lanes: int) -> Chunk:
+        """The next chunk from the lane; LaneDied if its pipe ends before the chunk does."""
+        head = self.reader.read(_FRAME.size)
+        if len(head) == _FRAME.size:
+            length, *counts = _FRAME.unpack(head)
+            data = self.reader.read(length)
+            if len(data) == length:
+                return Chunk(data, Counter({k: n for k, n in zip(_COUNT_KEYS, counts) if n}))
+        self._reap()
         raise LaneDied(
             f"sweep lane {lane} of {lanes} stopped before its last chunk "
-            f"(exit code {proc.exitcode})"
-        ) from None
+            f"(exit code {self.exitcode})"
+        )
+
+    def close(self) -> None:
+        """Kill the lane unless it has been reaped, reap it, and close the pipe."""
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self.reader.close()
+
+    def _reap(self) -> None:
+        self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 class Verdicts(NamedTuple):
@@ -238,7 +289,9 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
 def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     """Verdicts on the tuples with linear index in [start, stop).
 
-    ``stop`` may run past the box's end and is clipped to it.  The range
+    ``start`` and ``stop`` may run past the box's end and are clipped to
+    it, so a range that begins there, or ends before it begins, is an
+    empty chunk.  The range
     is decoded once into a column array of classes, in int64 when every
     index and interval end fits it, else in Python ints; the batch kernel
     picks its own arithmetic from the decoded classes.
@@ -247,6 +300,7 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
 
     bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
     stop = min(stop, spec.tuple_count())
+    start = min(start, stop)
     fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
     index = np.arange(start, stop, dtype=np.int64 if fits else object)
     classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)

@@ -5,7 +5,6 @@ import dataclasses
 import fcntl
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,11 +24,12 @@ from bundle_census.sweep import (
 from conftest import child_env
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, stdout=subprocess.PIPE, text=True):
     return subprocess.run(
         [sys.executable, "-m", "bundle_census", *args],
-        capture_output=True,
-        text=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=text,
         env=child_env(env),
         timeout=120,
     )
@@ -273,7 +273,7 @@ def probe_startup(argv, patch="", env=None):
 
 
 class TestStartUp:
-    """numpy and multiprocessing load only on the paths that compute with them."""
+    """numpy loads only on the paths that compute with it; multiprocessing never loads."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["--version"], [False, False]),
@@ -287,14 +287,14 @@ class TestStartUp:
     # before each worker lane starts: whether numpy is loaded, and the
     # threads of the forking process, which fork leaves behind in the lane
     LANE_SPY = """
-import multiprocessing, os
-start = multiprocessing.Process.start
-def spy(proc):
+import os
+fork = os.fork
+def spy():
     print("numpy loaded at start:", "numpy" in sys.modules, file=sys.stderr)
     if os.path.isdir("/proc/self/task"):
         print("threads at start:", len(os.listdir("/proc/self/task")), file=sys.stderr)
-    start(proc)
-multiprocessing.Process.start = spy
+    return fork()
+os.fork = spy
 """
     # 6561 tuples: several chunks, so one worker lane starts
     LANE_ARGV = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--jobs", "2"]
@@ -305,7 +305,7 @@ multiprocessing.Process.start = spy
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         *lines, loaded = probe_startup(self.LANE_ARGV, self.LANE_SPY, env)
-        assert json.loads(loaded) == [True, True]
+        assert json.loads(loaded) == [True, False]
         return [line for line in lines if line.startswith(("numpy loaded", "threads at start"))]
 
     def test_worker_lanes_fork_after_numpy_loads(self):
@@ -320,6 +320,77 @@ multiprocessing.Process.start = spy
     def test_lane_probe_counts_blas_threads(self):
         # a thread count the caller sets is kept, and the probe above sees it
         assert self.probe_lane_start("2")[-1] == "threads at start: 2"
+
+
+class TestExitPath:
+    """A run ends through ``cli.run``: ``os._exit`` with the code and bytes of ``cli.main``."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--classes", "0,0,0", "--N", "3"], 0),
+        (["check", "--classes", "1,1,0", "--N", "3"], 1),
+        (["check", "--classes", "1,x,0"], 2),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["check", "--N", "3"], 2),  # --classes is required
+    ], ids=["satisfied", "not_satisfied", "malformed_classes", "version", "help", "missing_option"])
+    def test_exit_code(self, argv, code):
+        proc = run_cli(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--classes", "1,1,0", "--N", "3"],
+        ["count", "--rank", "2", "--dim", "3", "--classes", "0,1"],
+        ["diagnose", "--classes", "5,6,0"],
+        # 6561 tuples in 7 chunks, so a worker lane sends some of them
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--format", "csv",
+         "--jobs", "2"],
+    ], ids=["check", "count", "diagnose", "sweep"])
+    def test_no_byte_is_lost(self, argv):
+        proc = run_cli(*argv, text=False)
+        code, out, _ = run_main(argv)
+        assert proc.returncode == code
+        assert proc.stdout == out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--classes", "0,0,0", "--N", "3"], 0),
+        (["check", "--classes", "1,1,0", "--N", "3"], 1),
+        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], 0),
+        (["diagnose", "--classes", "5,6,0"], 0),
+        (["--version"], 0),
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds=0:3,0:3", "--format", "json"], 0),
+    ], ids=["check_satisfied", "check_not_satisfied", "count", "diagnose", "version", "sweep"])
+    def test_reader_gone_before_the_first_byte(self, argv, code):
+        # stdout is a pipe whose reader has closed: the output is lost in
+        # silence, and the command keeps its own exit code.  stdout is
+        # block-buffered, as Python makes a pipe by default, so the write
+        # fails in the last flush; a non-empty PYTHONUNBUFFERED would make it
+        # fail in the command's first print instead
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = run_cli(*argv, env={"PYTHONUNBUFFERED": ""}, stdout=writer)
+        finally:
+            os.close(writer)
+        assert proc.returncode == code, proc.stderr
+        # sweep names its box on stderr before any record
+        assert [line for line in proc.stderr.splitlines() if not line.startswith("sweep:")] == []
+
+    ESCAPE = """
+from bundle_census import cli
+def main():
+    raise RuntimeError("escaped from main")
+cli.main = main
+cli.run()
+"""
+
+    def test_exception_escaping_main_prints_its_traceback(self):
+        proc = subprocess.run([sys.executable, "-c", self.ESCAPE], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):\n"), proc.stderr
+        assert proc.stderr.endswith("RuntimeError: escaped from main\n")
+
 
 HUGE = 10**4000 + 1  # B_2 = (c_1^2 - c_1)/2 - c_2 has 8000 digits
 DIGITS = {"PYTHONINTMAXSTRDIGITS": "4300"}  # Python's default limit
@@ -453,17 +524,17 @@ class TestSweepModule:
         monkeypatch.setattr(sweep, "CHUNK", 256)
         spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
         size = sweep.chunk_tuples(spec)
-        reader, writer = multiprocessing.Pipe(duplex=False)
+        reader, writer = os.pipe()
         try:
-            capacity = fcntl.fcntl(writer.fileno(), fcntl.F_GETPIPE_SZ)
-            os.set_blocking(writer.fileno(), False)
+            capacity = fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ)
+            os.set_blocking(writer, False)
             with pytest.raises(BlockingIOError):
                 sweep._lane_main(writer, spec, "json", range(0, spec.tuple_count(), size), size)
         finally:
-            reader.close()
-            writer.close()
+            os.close(reader)
+            os.close(writer)
         sent = rendered[:-1]  # the last chunk rendered is the one that did not fit
-        assert sent and sum(sent) <= capacity
+        assert sent and sum(sent) + len(sent) * sweep._FRAME.size <= capacity
 
 
 def run_main(argv):

@@ -16,7 +16,6 @@ import fcntl
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -289,6 +288,15 @@ def test_decodes_indices_past_int64(fmt):
     assert got.counts == Counter(result.count for _, result in pairs)
 
 
+@pytest.mark.parametrize("start, stop", [(40960, 41984), (29791, 29792), (100, 50)],
+                         ids=["past_the_end", "at_the_end", "reversed"])
+def test_range_outside_the_box_is_an_empty_chunk(start, stop):
+    spec = SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)  # 29,791 tuples
+    assert sweep.classify(spec, start, stop) == sweep.Verdicts([[]] * 6, [], [], [])
+    for fmt in sweep.FORMATS:
+        assert sweep.render_chunk(spec, fmt, start, stop) == sweep.Chunk(b"", Counter())
+
+
 def decode(index, bounds):
     """The tuple at linear ``index`` of the box, by Python integer arithmetic."""
     digits = []
@@ -333,17 +341,35 @@ def test_two_workers_give_identical_bytes(box, monkeypatch):
     assert one == two
 
 
+def spy_on_fork(monkeypatch):
+    """The pids of the children that ``os.fork`` starts from now on in this process."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    # waitpid raises only once this process has no child, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_lanes_start_no_more_workers_than_chunks(monkeypatch):
-    started = []
-    start = multiprocessing.Process.start
-    monkeypatch.setattr(multiprocessing.Process, "start",
-                        lambda proc: (started.append(proc), start(proc)))
+    forked = spy_on_fork(monkeypatch)
     monkeypatch.setattr(sweep, "CHUNK", 16)
     bounds = ((0, 5), (0, 5))  # 36 tuples: 3 chunks
     one = list(sweep_chunks(SweepSpec(2, 3, bounds, jobs=1), "table"))
     many = list(sweep_chunks(SweepSpec(2, 3, bounds, jobs=sweep.MAX_JOBS), "table"))
     assert len(one) == 3 and many == one
-    assert len(started) == 2
+    assert len(forked) == 2
+    assert_no_child_left()
 
 
 def sweep_argv(rank, dim, bounds, fmt, jobs):
@@ -380,24 +406,26 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_killed_lane_raises_and_leaves_no_process():
+def test_killed_lane_raises_and_leaves_no_process(monkeypatch):
     # each lane's share is far above a pipe's capacity, so lane 1 cannot
     # have sent all of it before the kill
     spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
+    forked = spy_on_fork(monkeypatch)
     with deadline(60):
         chunks = sweep_chunks(spec, "json")
         next(chunks)
-        (lane,) = multiprocessing.active_children()
-        os.kill(lane.pid, signal.SIGKILL)
+        (lane,) = forked
+        os.kill(lane, signal.SIGKILL)
         with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code -9"):
             for _ in chunks:
                 pass
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
-def test_lane_that_raises_is_reported():
+def test_lane_that_raises_is_reported(monkeypatch, capfd):
     spec = SweepSpec(2, 3, ((-100, 100), (-100, 100)), jobs=2)
-    # the lane starts with this handler even where the tests were started
+    forked = spy_on_fork(monkeypatch)
+    # the lane inherits this handler even where the tests were started
     # with SIGINT ignored
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
@@ -405,54 +433,60 @@ def test_lane_that_raises_is_reported():
             chunks = sweep_chunks(spec, "json")
             next(chunks)
             next(chunks)  # lane 1's first chunk: the lane is running Python
-            (lane,) = multiprocessing.active_children()
-            os.kill(lane.pid, signal.SIGINT)  # KeyboardInterrupt inside the lane
+            (lane,) = forked
+            os.kill(lane, signal.SIGINT)  # KeyboardInterrupt inside the lane
             with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code 1"):
                 for _ in chunks:
                     pass
     finally:
         signal.signal(signal.SIGINT, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and err.rstrip().endswith("KeyboardInterrupt"), err
 
 
-def pipe_bytes(conn):
+def pipe_bytes(reader):
     """Bytes waiting to be read from a pipe."""
     waiting = bytearray(4)
-    fcntl.ioctl(conn.fileno(), termios.FIONREAD, waiting)
+    fcntl.ioctl(reader.fileno(), termios.FIONREAD, waiting)
     return int.from_bytes(waiting, sys.byteorder)
 
 
+def write_long_frame(writer):
+    # a frame four pipes long, of one count-0 tuple per byte
+    length = 4 * fcntl.fcntl(writer, fcntl.F_GETPIPE_SZ)
+    frame = memoryview(sweep._FRAME.pack(length, length, 0, 0, 0) + bytes(length))
+    while frame:
+        frame = frame[os.write(writer, frame):]
+
+
 def test_lane_killed_inside_a_chunk_is_reported():
-    # a message four pipes long: once more than its 4-byte header is in the
-    # pipe, the lane has sent part of it and can never send the rest
-    reader, writer = multiprocessing.Pipe(duplex=False)
-    capacity = fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ)
-    lane = multiprocessing.Process(target=writer.send_bytes, args=(bytes(4 * capacity),), daemon=True)
-    lane.start()
-    writer.close()
+    # once more than its header is in the pipe, the lane has sent part of
+    # the frame and can never send the rest
+    lane = sweep._Lane(write_long_frame)
     try:
         with deadline(60):
-            while pipe_bytes(reader) <= 4:
+            while pipe_bytes(lane.reader) <= sweep._FRAME.size:
                 time.sleep(0.01)
             os.kill(lane.pid, signal.SIGKILL)
             with pytest.raises(sweep.LaneDied, match=r"lane 1 of 2 .*exit code -9"):
-                sweep._receive(reader, lane, 1, 2)
+                lane.receive(1, 2)
     finally:
-        lane.kill()
-        lane.join()
-        reader.close()
+        lane.close()
+    assert_no_child_left()
 
 
 def test_cli_reports_a_killed_lane(monkeypatch, capsys):
     # this process kills the worker lane once it has rendered its own
     # first chunk; the lane's share is far above a pipe's capacity
     parent, render = os.getpid(), sweep.render_chunk
+    forked = spy_on_fork(monkeypatch)
 
     def render_then_kill_lanes(*task):
         chunk = render(*task)
         if os.getpid() == parent:
-            for lane in multiprocessing.active_children():
-                os.kill(lane.pid, signal.SIGKILL)
+            for lane in forked:
+                os.kill(lane, signal.SIGKILL)
         return chunk
 
     monkeypatch.setattr(sweep, "render_chunk", render_then_kill_lanes)
@@ -463,7 +497,7 @@ def test_cli_reports_a_killed_lane(monkeypatch, capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == ["error: sweep lane 1 of 2 stopped before its last chunk (exit code -9)"]
     assert "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
@@ -473,7 +507,7 @@ def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
         chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=10**29), "csv")
         assert next(chunks) == first
         chunks.close()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
