@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import closing, suppress
 from typing import NoReturn, Optional, Sequence
 
@@ -53,10 +52,11 @@ def _admit(order: Optional[int], classes: Sequence[int]) -> None:
         return
     if order > MAX_ORDER:
         raise UsageError(f"condition order {order} is above the cap of {MAX_ORDER}")
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = _digit_limit()
     max_abs = max(map(abs, classes), default=0)
-    # 2^floor(digits log2 10) <= 10^digits, without computing 10^digits
-    if digits and not kernels.certificate_below(order, max_abs, 1 << int(digits * math.log2(10))):
+    # below 2^bits <= 10^digits, bits = floor(digits log2 10), without computing 10^digits
+    bits = int(digits * math.log2(10))
+    if digits and kernels.certificate_bits(order, max_abs, bits) > bits:
         raise UsageError(
             f"B_r of S_{order} on classes of up to {len(str(max_abs))} digits may pass "
             f"Python's limit of {digits} digits for printing an integer; "
@@ -64,9 +64,25 @@ def _admit(order: Optional[int], classes: Sequence[int]) -> None:
         )
 
 
+def _digit_limit() -> int:
+    """Python's limit on the digits of an integer it reads or prints; 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _readable(option: str, text: str) -> str:
+    """``text``, refused if one of its integers has more digits than Python reads."""
+    digits = _digit_limit()
+    n, piece = max((sum(map(str.isdecimal, p)), p) for p in text.replace(":", ",").split(","))
+    if digits and n > digits:
+        raise UsageError(f"{option} holds an integer of {n} digits ({piece[:12]}...), above "
+                         f"Python's limit of {digits} digits for reading an integer; "
+                         "set PYTHONINTMAXSTRDIGITS to raise it")
+    return text
+
+
 def parse_classes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(piece) for piece in text.split(","))
+        return tuple(int(piece) for piece in _readable("--classes", text).split(","))
     except ValueError:
         raise UsageError(f"--classes expects comma-separated integers, got {text!r}")
 
@@ -133,11 +149,13 @@ def _condition_input(args) -> tuple[tuple[int, ...], int]:
 def cmd_check(args) -> int:
     classes, N = _condition_input(args)
     report = check_schwarzenberger(classes, N)
-    print(f"S_{N} for classes {classes}")
-    for term in report.values:
-        verdict = "integral" if term.integral else "NOT integral"
-        print(f"  r = {term.r:<3d} B_r = {str(term.value):<12s} {verdict}")
-    print(f"S_{N} {'satisfied' if report.satisfied else 'not satisfied'}")
+    # the verdict is the exit code, even when stdout's reader has gone
+    with suppress(BrokenPipeError):
+        print(f"S_{N} for classes {classes}")
+        for term in report.values:
+            verdict = "integral" if term.integral else "NOT integral"
+            print(f"  r = {term.r:<3d} B_r = {str(term.value):<12s} {verdict}")
+        print(f"S_{N} {'satisfied' if report.satisfied else 'not satisfied'}")
     return 0 if report.satisfied else 1
 
 
@@ -162,7 +180,7 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(
             rank=args.rank,
             dim=args.dim,
-            bounds=parse_bounds(args.bounds),
+            bounds=parse_bounds(_readable("--bounds", args.bounds)),
             jobs=args.jobs,
             max_tuples=args.max_tuples,
         )
@@ -173,14 +191,14 @@ def cmd_sweep(args) -> int:
     print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
           f"jobs={spec.jobs}", file=sys.stderr)
     out = sys.stdout.buffer
-    totals = Counter()
+    tally = [0, 0, 0, 0]
     out.write(header(args.format, len(spec.bounds)).encode())
     # closing: a failed write stops the worker lanes at once
     with closing(sweep_chunks(spec, args.format)) as chunks:
         for chunk in chunks:
             out.write(chunk.data)
-            totals.update(chunk.counts)
-    tail, note = summary(args.format, total, totals)
+            tally = [a + b for a, b in zip(tally, chunk.tally)]
+    tail, note = summary(args.format, total, tally)
     out.write(tail.encode())
     sys.stderr.write(note)
     out.flush()
@@ -190,24 +208,20 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose(args) -> int:
     classes, N = _condition_input(args)
     roots, rows = compare_exact_numeric(classes, range(2, N + 1))
-    print(f"root residual: {roots.residual:.3e} "
-          f"({'reliable' if roots.reliable else 'UNRELIABLE'})")
-    print(f"{'r':>3} {'exact':<14} {'numeric':<22} {'|diff|':<12} {'dist_to_Z':<12} status")
-    failed = False
-    for row in rows:
-        if row.flagged:
-            status = "unreliable"
-        elif row.agrees:
-            status = "agree"
-        else:
-            status = "DISAGREE"
-            failed = True
-        numeric = f"{row.numeric.real:.12g}"
-        if abs(row.numeric.imag) > 0:
-            numeric += f"{row.numeric.imag:+.1e}j"
-        print(f"{row.r:>3} {str(row.exact):<14} {numeric:<22} "
-              f"{row.difference:<12.3e} {row.nearest_integer_distance:<12.3e} {status}")
-    print("all values agree" if not failed else "exact and numeric paths DISAGREE")
+    # the verdict is the exit code, even when stdout's reader has gone
+    failed = not all(row.agrees for row in rows)
+    with suppress(BrokenPipeError):
+        print(f"root residual: {roots.residual:.3e} "
+              f"({'reliable' if roots.reliable else 'UNRELIABLE'})")
+        print(f"{'r':>3} {'exact':<14} {'numeric':<22} {'|diff|':<12} {'dist_to_Z':<12} status")
+        for row in rows:
+            status = "unreliable" if row.flagged else "agree" if row.agrees else "DISAGREE"
+            numeric = f"{row.numeric.real:.12g}"
+            if abs(row.numeric.imag) > 0:
+                numeric += f"{row.numeric.imag:+.1e}j"
+            print(f"{row.r:>3} {str(row.exact):<14} {numeric:<22} "
+                  f"{row.difference:<12.3e} {row.nearest_integer_distance:<12.3e} {status}")
+        print("all values agree" if not failed else "exact and numeric paths DISAGREE")
     return 1 if failed else 0
 
 
@@ -221,16 +235,10 @@ def _vector(rank: int, dim: int, classes: tuple[int, ...]) -> ChernVector:
 def _merge_value_flags(argv: Sequence[str]) -> list[str]:
     # "--classes -1,2" parses as a flag followed by an unknown option;
     # rewrite to "--classes=-1,2" so leading minus signs survive argparse
-    merged = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("--classes", "--bounds") and i + 1 < len(argv):
-            merged.append(f"{arg}={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(arg)
-            i += 1
+    merged, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in ("--classes", "--bounds") else None
+        merged.append(arg if value is None else f"{arg}={value}")
     return merged
 
 
@@ -262,10 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LaneDied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # downstream closed (e.g. piped into head); silence the flush at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # a sweep's reader closed (e.g. piped into head)
         return 0
 
 

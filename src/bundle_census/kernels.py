@@ -13,7 +13,7 @@ place.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
+from math import factorial
 from typing import TYPE_CHECKING
 
 from ._kernels_py import (
@@ -30,8 +30,7 @@ __all__ = [
     "INT64_LIMIT",
     "backend_name",
     "binomial_sum_num_den",
-    "certificate",
-    "certificate_below",
+    "certificate_bits",
     "int64_certified",
     "schwarz_terms",
     "schwarz_terms_batch",
@@ -71,31 +70,26 @@ def int64_certified(order: int, max_abs: int) -> bool:
     stays below the certificate, and 2^62 leaves a factor of two to the
     int64 range.
     """
-    return certificate_below(order, max_abs, INT64_LIMIT)
+    bits = INT64_LIMIT.bit_length() - 1  # c < 2^62 exactly when c has at most 62 bits
+    return certificate_bits(order, max_abs, bits) <= bits
 
 
-def certificate(order: int, max_abs: int) -> int:
-    """order * R(R+1)...(R+order-1), R = 1 + max_abs.
+def certificate_bits(order: int, max_abs: int, cap: int) -> int:
+    """Bit length of the certificate order * R(R+1)...(R+order-1), R = 1 + max_abs.
 
     The certificate bounds every value ``schwarz_terms`` forms for S_order
     on classes with |c_i| <= max_abs, reduced B_r included (see
-    ``int64_certified``).
-    """
-    return order * prod(range(1 + max_abs, 1 + max_abs + order))
-
-
-def certificate_below(order: int, max_abs: int, limit: int) -> bool:
-    """Whether ``certificate(order, max_abs) < limit``.
-
-    The product stops once it reaches ``limit``, so huge classes at a high
-    order cost a few multiplications, not the whole product.
+    ``int64_certified``).  Past ``cap`` bits the product stops and the
+    answer is ``cap + 1``, so huge classes at a high order cost a few
+    multiplications, not the whole product.  The certificate is below 2^k
+    exactly when its bit length is at most k.
     """
     bound = order
     for i in range(order):
+        if bound.bit_length() > cap:
+            break
         bound *= 1 + max_abs + i
-        if bound >= limit:
-            return False
-    return bound < limit
+    return min(bound.bit_length(), cap + 1)
 
 
 @cache

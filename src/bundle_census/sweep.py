@@ -14,9 +14,9 @@ alike: one ``%`` over the chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
 calling process renders its own share and each worker lane, a bare
 ``os.fork`` child, streams its finished chunks down one raw pipe, each
-as a ``struct`` header (the data's length and the tuples of count 0, 1,
-2 and unknown) followed by the data.  Ranges are always yielded in index
-order, so output is deterministic and independent of the worker count.
+as a ``struct`` header (the data's length, then the chunk's tally)
+followed by the data.  Ranges are always yielded in index order, so
+output is deterministic and independent of the worker count.
 numpy loads before the first worker lane forks, so every lane inherits it.
 ``header`` and ``summary`` give the text around the records.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
@@ -29,9 +29,8 @@ import os
 import signal
 import struct
 import sys
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .chern import ChernVector
@@ -48,14 +47,9 @@ CHUNK = 1024
 # bit length (see chunk_tuples): at order 400 it holds a single tuple
 _CHUNK_BITS = 2**19
 FORMATS = ("json", "csv", "table")
-# a chunk is decoded in int64 when its indices and every interval end are
-# below this in absolute value: every radix hi - lo + 1 then fits it too
-_INT64_INDEX = 2**62
 
-# a worker lane's frame header: the chunk's data length, then its tuples of
-# count 0, 1, 2 and unknown, in _COUNT_KEYS order
+# a worker lane's frame header: the chunk's data length, then its tally
 _FRAME = struct.Struct("5Q")
-_COUNT_KEYS = (0, 1, 2, None)
 
 # largest integer JSON readers with double-precision parsers keep exact
 _SAFE_JSON_INT = 2**53 - 1
@@ -132,10 +126,10 @@ def run_sweep(spec: SweepSpec) -> Iterator[BundleCount]:
 
 
 class Chunk(NamedTuple):
-    """The rendered records of one index range of the box."""
+    """The rendered records of one index range of the box, and its ``Verdicts.tally``."""
 
     data: bytes
-    counts: Counter  # tuples per count: keys 0, 1, 2 and None (unknown)
+    tally: tuple
 
 
 def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
@@ -179,17 +173,18 @@ def chunk_tuples(spec: SweepSpec) -> int:
     """Tuples per chunk of the box: CHUNK, or fewer where the B_r are long.
 
     Every numerator and denominator of S_N on the box is below the
-    certificate N R(R+1)...(R+N-1), R = 1 + the largest |end| of the box
-    (``kernels.certificate``), so a tuple's N - 1 fractions take at most
-    about 2 N bits, bits being its bit length.  A chunk holds
+    certificate N R(R+1)...(R+N-1), R = 1 + the largest |end| of the box,
+    so a tuple's N - 1 fractions take at most about 2 N bits, bits being
+    its bit length (``kernels.certificate_bits``).  A chunk holds
     _CHUNK_BITS // (N bits) tuples, at least one and at most CHUNK; a box
-    tested by no condition takes CHUNK.
+    tested by no condition takes CHUNK.  Past _CHUNK_BITS // N bits a
+    chunk holds one tuple anyway, so the product stops there.
     """
     order = counting_rule(spec.rank, spec.dim).order
     if order is None:
         return CHUNK
     max_abs = max(abs(end) for ends in spec.bounds for end in ends)
-    bits = kernels.certificate(order, max_abs).bit_length()
+    bits = kernels.certificate_bits(order, max_abs, _CHUNK_BITS // order)
     return max(1, min(CHUNK, _CHUNK_BITS // (order * bits)))
 
 
@@ -200,9 +195,8 @@ def _lane_main(writer: int, spec: SweepSpec, fmt: str, starts: range, size: int)
     followed by its data.  A write blocks while the pipe is full.
     """
     for start in starts:
-        chunk = render_chunk(spec, fmt, start, start + size)
-        counts = map(chunk.counts.__getitem__, _COUNT_KEYS)
-        frame = memoryview(_FRAME.pack(len(chunk.data), *counts) + chunk.data)
+        data, tally = render_chunk(spec, fmt, start, start + size)
+        frame = memoryview(_FRAME.pack(len(data), *tally) + data)
         while frame:
             frame = frame[os.write(writer, frame):]
 
@@ -244,10 +238,10 @@ class _Lane:
         """The next chunk from the lane; LaneDied if its pipe ends before the chunk does."""
         head = self.reader.read(_FRAME.size)
         if len(head) == _FRAME.size:
-            length, *counts = _FRAME.unpack(head)
+            length, *tally = _FRAME.unpack(head)
             data = self.reader.read(length)
             if len(data) == length:
-                return Chunk(data, Counter({k: n for k, n in zip(_COUNT_KEYS, counts) if n}))
+                return Chunk(data, tuple(tally))
         self._reap()
         raise LaneDied(
             f"sweep lane {lane} of {lanes} stopped before its last chunk "
@@ -273,17 +267,20 @@ class Verdicts(NamedTuple):
     ``failing`` gives the number of B_r of each tuple that are not
     integers, and ``terms`` those B_r row-major, each tuple's in r order,
     as flat triples r, num, den with B_r = num/den in lowest terms.
+    ``tally`` is the number of tuples of count 0, 1, 2 and unknown.
     """
 
     columns: list
     counts: list
     failing: list
     terms: list
+    tally: tuple
 
 
 def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
-    """Records of the tuples with linear index in [start, stop), as bytes."""
-    return render(spec, fmt, classify(spec, start, stop))
+    """Records of the tuples with linear index in [start, stop), as bytes, and their tally."""
+    verdicts = classify(spec, start, stop)
+    return Chunk(render(spec, fmt, verdicts), verdicts.tally)
 
 
 def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
@@ -301,7 +298,8 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
     stop = min(stop, spec.tuple_count())
     start = min(start, stop)
-    fits = stop <= _INT64_INDEX and all(abs(end) < _INT64_INDEX for ends in bounds for end in ends)
+    limit = kernels.INT64_LIMIT  # every radix hi - lo + 1 fits when every end is below it
+    fits = stop <= limit and all(abs(end) < limit for ends in bounds for end in ends)
     index = np.arange(start, stop, dtype=np.int64 if fits else object)
     classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)
     for j in range(len(bounds) - 1, -1, -1):
@@ -317,8 +315,11 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
         cells = (cols + 2, num[rows, cols], den[rows, cols])
         terms = np.stack(cells, axis=1).ravel().tolist()
     counts = rule.count(failing == 0, classes[:, 0])
-    counts = [None] * len(classes) if counts is None else counts.tolist()
-    return Verdicts(classes[:, : len(bounds)].T.tolist(), counts, failing.tolist(), terms)
+    if counts is None:
+        counts, tally = [None] * len(classes), (0, 0, 0, len(classes))
+    else:
+        counts, tally = counts.tolist(), (*np.bincount(counts, minlength=3).tolist(), 0)
+    return Verdicts(classes[:, : len(bounds)].T.tolist(), counts, failing.tolist(), terms, tally)
 
 
 # per format: a failing B_r's template, led by its one-character separator;
@@ -335,7 +336,7 @@ _FORMAT = {
 }
 
 
-def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> Chunk:
+def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
     """The records of a chunk's verdicts in ``fmt``, as bytes.
 
     One ``%`` writes every failing B_r of the chunk.  Each failing tuple's
@@ -344,7 +345,7 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> Chunk:
     chunk's records, each the template of its count, with every tuple's
     classes and failing text.
     """
-    columns, counts, failing, terms = verdicts
+    columns, counts, failing, terms, _ = verdicts
     term, record, unknown, no, yes = _FORMAT[fmt]
     lead = {k: "\n" + (term * k)[1:] for k in set(failing)}
     text = "".join(map(lead.__getitem__, filter(None, failing))) % tuple(terms)
@@ -368,7 +369,7 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> Chunk:
                for c in set(counts)}
     args = itertools.chain.from_iterable(zip(*columns, texts))
     text = "".join(map(records.__getitem__, counts)) % tuple(args)
-    return Chunk(text.encode(), Counter(counts))
+    return text.encode()
 
 
 def table_width(n_classes: int) -> int:
@@ -385,16 +386,15 @@ def header(fmt: str, n_classes: int) -> str:
     return ""
 
 
-def summary(fmt: str, total: int, counts: Counter) -> tuple[str, str]:
+def summary(fmt: str, total: int, tally: Sequence[int]) -> tuple[str, str]:
     """The text a sweep's stdout ends with, and the line it writes to stderr.
 
-    ``counts`` holds the tuples per count over the box, as ``Chunk.counts``
-    adds up.  JSON ends stdout with a ``{"summary": ...}`` record and a
-    table with the totals; csv keeps stdout to its records and writes the
-    totals to stderr instead.
+    ``tally`` holds the tuples of count 0, 1, 2 and unknown over the box,
+    the sum of every ``Chunk.tally``.  JSON ends stdout with a
+    ``{"summary": ...}`` record and a table with the totals; csv keeps
+    stdout to its records and writes the totals to stderr instead.
     """
-    fields = {"total": total, "count_0": counts[0], "count_1": counts[1],
-              "count_2": counts[2], "unknown": counts[None]}
+    fields = dict(zip(("total", "count_0", "count_1", "count_2", "unknown"), (total, *tally)))
     if fmt == "json":
         return '{"summary":{' + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}}\n", ""
     text = " ".join(f"{k}={v}" for k, v in fields.items())

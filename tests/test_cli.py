@@ -322,6 +322,17 @@ os.fork = spy
         assert self.probe_lane_start("2")[-1] == "threads at start: 2"
 
 
+# argv and exit code of each command run with no reader on stdout
+READER_GONE = {
+    "check_satisfied": (["check", "--classes", "0,0,0", "--N", "3"], 0),
+    "check_not_satisfied": (["check", "--classes", "1,1,0", "--N", "3"], 1),
+    "count": (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], 0),
+    "diagnose": (["diagnose", "--classes", "5,6,0"], 0),
+    "version": (["--version"], 0),
+    "sweep": (["sweep", "--rank", "2", "--dim", "3", "--bounds=0:3,0:3", "--format", "json"], 0),
+}
+
+
 class TestExitPath:
     """A run ends through ``cli.run``: ``os._exit`` with the code and bytes of ``cli.main``."""
 
@@ -352,29 +363,75 @@ class TestExitPath:
         assert proc.returncode == code
         assert proc.stdout == out
 
-    @pytest.mark.parametrize("argv, code", [
-        (["check", "--classes", "0,0,0", "--N", "3"], 0),
-        (["check", "--classes", "1,1,0", "--N", "3"], 1),
-        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], 0),
-        (["diagnose", "--classes", "5,6,0"], 0),
-        (["--version"], 0),
-        (["sweep", "--rank", "2", "--dim", "3", "--bounds=0:3,0:3", "--format", "json"], 0),
-    ], ids=["check_satisfied", "check_not_satisfied", "count", "diagnose", "version", "sweep"])
-    def test_reader_gone_before_the_first_byte(self, argv, code):
+    @pytest.mark.parametrize("argv, code, unbuffered", [
+        pytest.param(argv, code, unbuffered, id=name + suffix)
+        for unbuffered, suffix in (("", ""), ("1", "_unbuffered"))
+        for name, (argv, code) in READER_GONE.items()
+    ])
+    def test_reader_gone_before_the_first_byte(self, argv, code, unbuffered):
         # stdout is a pipe whose reader has closed: the output is lost in
-        # silence, and the command keeps its own exit code.  stdout is
-        # block-buffered, as Python makes a pipe by default, so the write
-        # fails in the last flush; a non-empty PYTHONUNBUFFERED would make it
-        # fail in the command's first print instead
+        # silence, and the command keeps its own exit code.  Block-buffered,
+        # as Python makes a pipe by default, stdout fails in the last flush;
+        # with PYTHONUNBUFFERED it fails in the command's first print
         reader, writer = os.pipe()
         os.close(reader)
         try:
-            proc = run_cli(*argv, env={"PYTHONUNBUFFERED": ""}, stdout=writer)
+            proc = run_cli(*argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=writer)
         finally:
             os.close(writer)
         assert proc.returncode == code, proc.stderr
         # sweep names its box on stderr before any record
         assert [line for line in proc.stderr.splitlines() if not line.startswith("sweep:")] == []
+
+    DISAGREE = """
+import dataclasses
+from bundle_census import cli, oracle
+def compare(classes, rs):
+    roots, rows = oracle.compare_exact_numeric(classes, rs)
+    return roots, [dataclasses.replace(row, flagged=False, tolerance=-1.0) for row in rows]
+cli.compare_exact_numeric = compare
+cli.run()
+"""
+
+    @pytest.mark.parametrize("reader_gone", [False, True], ids=["read", "reader_gone"])
+    def test_diagnose_disagreement_exits_one(self, reader_gone):
+        # every row made to disagree; the verdict holds with no reader too
+        reader, writer = os.pipe()
+        if reader_gone:
+            os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", self.DISAGREE, "diagnose", "--classes", "5,6,0"],
+                stdout=writer, stderr=subprocess.PIPE, text=True,
+                env=child_env({"PYTHONUNBUFFERED": "1"}), timeout=120)
+        finally:
+            os.close(writer)
+        if not reader_gone:
+            with open(reader, "rb") as out:
+                assert out.read().endswith(b"exact and numeric paths DISAGREE\n")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+
+    IN_PROCESS = """
+import os, sys
+from bundle_census import cli
+reader, writer = os.pipe()
+os.close(reader)
+os.dup2(writer, 1)
+os.close(writer)
+before = os.fstat(1)
+code = cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds=0:3,0:3"])
+after = os.fstat(1)
+print(code, (before.st_dev, before.st_ino) == (after.st_dev, after.st_ino), file=sys.stderr)
+os._exit(0)  # the reader has gone: no flush at exit
+"""
+
+    def test_in_process_main_leaves_stdout_where_it_was(self):
+        # cli.main, called in-process on a sweep whose reader has gone,
+        # returns 0 and leaves the caller's fd 1 alone
+        proc = subprocess.run([sys.executable, "-c", self.IN_PROCESS], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.stderr.splitlines()[-1] == "0 True", proc.stderr
 
     ESCAPE = """
 from bundle_census import cli
@@ -405,6 +462,32 @@ def order_argv(command, N):
         return [command, "--rank", str(N), "--dim", str(N), "--classes", zeros]
     bounds = ",".join(["0:0"] * N)
     return [command, "--rank", str(N), "--dim", str(N), "--bounds", bounds, "--format", "csv"]
+
+
+class TestIntegersPastTheDigitLimit:
+    """A class or bound longer than Python reads exits 2, naming the limit in a short line."""
+
+    LONG = "9" * 5000
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--classes", f"{LONG},0"],
+        ["count", "--rank", "2", "--dim", "3", "--classes", f"0,-{LONG}"],
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds", f"0:{LONG},0:1"],
+        ["diagnose", "--classes", f"{LONG}x,0"],
+    ], ids=["check", "count", "sweep", "diagnose"])
+    def test_names_the_limit(self, argv):
+        proc = run_cli(*argv, env=DIGITS)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: --")
+        assert "5000 digits" in proc.stderr and "limit of 4300 digits" in proc.stderr
+        assert "PYTHONINTMAXSTRDIGITS" in proc.stderr
+        assert len(proc.stderr) < 300
+
+    def test_at_the_limit_reads(self):
+        proc = run_cli("check", "--classes", f"-{'9' * 4300},0", env=DIGITS)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: B_r of S_2")
 
 
 class TestInputsOutOfReach:

@@ -258,6 +258,14 @@ class TestBatchKernel:
         assert_batch_matches_reference(rows, dtype=object, runs_on=runs_on)
 
 
+@given(order=st.integers(1, 40), max_abs=st.integers(0, 10**30), cap=st.integers(0, 200))
+@settings(max_examples=300)
+def test_certificate_bits_is_the_capped_bit_length(order, max_abs, cap):
+    full = order * math.prod(range(1 + max_abs, 1 + max_abs + order))
+    assert kernels.certificate_bits(order, max_abs, cap) == min(full.bit_length(), cap + 1)
+    assert kernels.int64_certified(order, max_abs) == (full < kernels.INT64_LIMIT)
+
+
 class TestChunkPath:
     """The certificate decides, chunk by chunk, the dtype the batch kernel runs on."""
 

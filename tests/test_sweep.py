@@ -22,7 +22,6 @@ import subprocess
 import sys
 import termios
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,8 +78,13 @@ def render_reference(pairs, n_classes, fmt):
 
 def swept(spec, fmt):
     chunks = list(sweep_chunks(spec, fmt))
-    totals = {k: sum(chunk.counts[k] for chunk in chunks) for k in (0, 1, 2, None)}
-    return b"".join(chunk.data for chunk in chunks), totals
+    tally = [sum(column) for column in zip(*(chunk.tally for chunk in chunks))]
+    return b"".join(chunk.data for chunk in chunks), dict(zip((0, 1, 2, None), tally))
+
+
+def tally(counts):
+    """The tuples of count 0, 1, 2 and unknown (None) among ``counts``."""
+    return tuple(counts.count(k) for k in (0, 1, 2, None))
 
 
 EDGE3 = 1154105  # the largest |c_i| int64_certified admits for S_3
@@ -131,7 +135,8 @@ def test_verdicts_match_count_bundles(box, chunk, monkeypatch):
     size = sweep.chunk_tuples(spec)
     got = []
     for start in range(0, spec.tuple_count(), size):
-        columns, counts, failing, terms = sweep.classify(spec, start, start + size)
+        columns, counts, failing, terms, chunk_tally = sweep.classify(spec, start, start + size)
+        assert chunk_tally == tally(counts)
         cells = zip(terms[::3], terms[1::3], terms[2::3])
         got += [(classes, count, list(itertools.islice(cells, k)))
                 for classes, count, k in zip(zip(*columns), counts, failing)]
@@ -264,10 +269,19 @@ def test_chunk_size_follows_the_certificate():
     assert sweep.chunk_tuples(SweepSpec(3, 4, bignum)) == 386
 
 
+def test_chunk_size_at_the_order_cap_on_long_classes_is_quick():
+    # the full certificate of S_400 on 5,000-digit classes took seconds;
+    # its product stops once past the chunk's bit budget
+    big = 10**5000
+    spec = SweepSpec(399, 400, ((big, big + 1),) + ((-big, -big),) * 398, max_tuples=2)
+    with deadline(5):
+        assert sweep.chunk_tuples(spec) == 1
+
+
 def test_sweep_at_the_order_cap_holds_one_tuple_per_chunk():
     bounds = ((0, 2),) + ((3, 3), (-3, -3)) * 199  # 399 classes, 3 tuples
     chunks = list(sweep_chunks(SweepSpec(399, 400, bounds), "csv"))
-    assert [sum(chunk.counts.values()) for chunk in chunks] == [1, 1, 1]
+    assert [sum(chunk.tally) for chunk in chunks] == [1, 1, 1]
     assert [chunk.data.count(b"\n") for chunk in chunks] == [1, 1, 1]
 
 
@@ -278,23 +292,23 @@ def test_decodes_indices_past_int64(fmt):
     bounds = ((0, 2**40), (0, 2**40))
     spec = SweepSpec(2, 3, bounds, max_tuples=2**81)
     total = spec.tuple_count()
-    assert total > 2 * sweep._INT64_INDEX
+    assert total > 2 * kernels.INT64_LIMIT
     start = total - 5
     tuples = [divmod(index, 2**40 + 1) for index in range(start, total)]
     assert tuples[-1] == (2**40, 2**40)
     pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
     got = sweep.render_chunk(spec, fmt, start, total)
     assert got.data == render_reference(pairs, 2, fmt)
-    assert got.counts == Counter(result.count for _, result in pairs)
+    assert got.tally == tally([result.count for _, result in pairs])
 
 
 @pytest.mark.parametrize("start, stop", [(40960, 41984), (29791, 29792), (100, 50)],
                          ids=["past_the_end", "at_the_end", "reversed"])
 def test_range_outside_the_box_is_an_empty_chunk(start, stop):
     spec = SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)  # 29,791 tuples
-    assert sweep.classify(spec, start, stop) == sweep.Verdicts([[]] * 6, [], [], [])
+    assert sweep.classify(spec, start, stop) == sweep.Verdicts([[]] * 6, [], [], [], (0, 0, 0, 0))
     for fmt in sweep.FORMATS:
-        assert sweep.render_chunk(spec, fmt, start, stop) == sweep.Chunk(b"", Counter())
+        assert sweep.render_chunk(spec, fmt, start, stop) == sweep.Chunk(b"", (0, 0, 0, 0))
 
 
 def decode(index, bounds):
@@ -317,7 +331,7 @@ def decode(index, bounds):
 def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypatch):
     spec = SweepSpec(2, 3, bounds, max_tuples=2**68)
     total = spec.tuple_count()
-    assert total > sweep._INT64_INDEX
+    assert total > kernels.INT64_LIMIT
     dtypes = spy_on_kernel(monkeypatch)
     for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
         tuples = [decode(i, bounds) for i in range(start, stop)]
@@ -326,7 +340,7 @@ def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypa
         got = sweep.render_chunk(spec, fmt, start, stop)
         assert dtypes == [np.dtype(dtype)]
         assert got.data == render_reference(pairs, 2, fmt)
-        assert got.counts == Counter(result.count for _, result in pairs)
+        assert got.tally == tally([result.count for _, result in pairs])
     assert tuples[-1] == tuple(hi for lo, hi in bounds)
 
 
