@@ -1,11 +1,11 @@
 """Command-line surface: check, count, sweep, diagnose.
 
-Machine-readable output goes to stdout (JSON lines or CSV for sweeps),
-diagnostics to stderr.  Exit codes: 0 success / condition satisfied,
-1 condition failed, exact-numeric disagreement or a sweep worker lane that
-died before its last chunk (one ``error:`` line, no traceback), 2 usage
-error, including a condition order above MAX_ORDER and classes whose B_r
-could be too long for Python to print.
+Machine-readable output goes to stdout, diagnostics to stderr; ``sweep``
+parses and admits its box and leaves all its output to ``sweep.write``.
+Exit codes: 0 success / condition satisfied, 1 condition failed,
+exact-numeric disagreement or a sweep worker lane that died before its last
+chunk (one ``error:`` line, no traceback), 2 usage error, including a
+condition order above MAX_ORDER and classes whose B_r Python might not print.
 
 ``run`` is the console entry point: it calls ``main``, flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
@@ -19,15 +19,14 @@ import argparse
 import math
 import os
 import sys
-from contextlib import closing, suppress
+from contextlib import suppress
 from typing import NoReturn, Optional, Sequence
 
-from . import __version__, kernels
+from . import __version__, kernels, sweep
 from .chern import ChernVector
 from .enumeration import check_schwarzenberger, count_bundles, counting_rule
 from .oracle import compare_exact_numeric
-from .sweep import (DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, header, parse_bounds,
-                    summary, sweep_chunks)
+from .sweep import DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, parse_bounds
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
 
@@ -58,7 +57,7 @@ def _admit(order: Optional[int], classes: Sequence[int]) -> None:
     bits = int(digits * math.log2(10))
     if digits and kernels.certificate_bits(order, max_abs, bits) > bits:
         raise UsageError(
-            f"B_r of S_{order} on classes of up to {len(str(max_abs))} digits may pass "
+            f"B_r of S_{order} on classes of up to {max_abs.bit_length()} bits may pass "
             f"Python's limit of {digits} digits for printing an integer; "
             "set PYTHONINTMAXSTRDIGITS to raise it"
         )
@@ -186,22 +185,8 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    total = spec.tuple_count()
-    _admit(counting_rule(spec.rank, spec.dim).order, [x for bound in spec.bounds for x in bound])
-    print(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, "
-          f"jobs={spec.jobs}", file=sys.stderr)
-    out = sys.stdout.buffer
-    tally = [0, 0, 0, 0]
-    out.write(header(args.format, len(spec.bounds)).encode())
-    # closing: a failed write stops the worker lanes at once
-    with closing(sweep_chunks(spec, args.format)) as chunks:
-        for chunk in chunks:
-            out.write(chunk.data)
-            tally = [a + b for a, b in zip(tally, chunk.tally)]
-    tail, note = summary(args.format, total, tally)
-    out.write(tail.encode())
-    sys.stderr.write(note)
-    out.flush()
+    _admit(counting_rule(spec.rank, spec.dim).order, [spec.max_abs()])
+    sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
     return 0
 
 

@@ -18,7 +18,7 @@ as a ``struct`` header (the data's length, then the chunk's tally)
 followed by the data.  Ranges are always yielded in index order, so
 output is deterministic and independent of the worker count.
 numpy loads before the first worker lane forks, so every lane inherits it.
-``header`` and ``summary`` give the text around the records.
+``write`` writes a whole sweep: header, chunks, and totals from their tallies.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
 """
 
@@ -29,8 +29,9 @@ import os
 import signal
 import struct
 import sys
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, TextIO
 
 from . import kernels
 from .chern import ChernVector
@@ -90,6 +91,8 @@ class SweepSpec:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {self.jobs}")
+        if self.max_tuples < 1:
+            raise ValueError(f"max_tuples must be >= 1, got {self.max_tuples}")
         total = self.tuple_count()
         if total > self.max_tuples:
             raise BoxTooLarge(
@@ -102,6 +105,10 @@ class SweepSpec:
         for lo, hi in self.bounds:
             total *= hi - lo + 1
         return total
+
+    def max_abs(self) -> int:
+        """The box's largest |end|, which bounds every |c_i| in it."""
+        return max(abs(end) for ends in self.bounds for end in ends)
 
 
 def evaluate_classes(rank: int, dim: int, classes: tuple[int, ...]) -> BundleCount:
@@ -130,6 +137,39 @@ class Chunk(NamedTuple):
 
     data: bytes
     tally: tuple
+
+
+def write(spec: SweepSpec, fmt: str, out: BinaryIO, err: TextIO) -> None:
+    """Write the sweep of ``spec`` in ``fmt``: its output to ``out``, its notes to ``err``.
+
+    ``err`` takes the ``sweep:`` line, ``out`` the header, every chunk in
+    index order and the totals, summed from the chunks' tallies; csv's
+    totals go to ``err``.  An unknown ``fmt`` raises ValueError first.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    total = spec.tuple_count()
+    err.write(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, jobs={spec.jobs}\n")
+    if fmt == "csv":
+        out.write(b"classes,count,regime,failing_r,extension\n")
+    elif fmt == "table":
+        width = table_width(len(spec.bounds))
+        out.write(f"{'classes':<{width}} {'count':>7} {'regime':<13} {'failing':<20} ext\n".encode())
+    tally = [0, 0, 0, 0]
+    with closing(sweep_chunks(spec, fmt)) as chunks:  # a failed write stops the lanes at once
+        for chunk in chunks:
+            out.write(chunk.data)
+            tally = [a + b for a, b in zip(tally, chunk.tally)]
+    fields = zip(("total", "count_0", "count_1", "count_2", "unknown"), (total, *tally))
+    if fmt == "json":
+        out.write(('{"summary":{' + ",".join(f'"{k}":{v}' for k, v in fields) + "}}\n").encode())
+    else:
+        text = " ".join(f"{k}={v}" for k, v in fields) + "\n"
+        if fmt == "csv":
+            err.write("summary: " + text)
+        else:
+            out.write(text.encode())
+    out.flush()
 
 
 def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
@@ -183,8 +223,7 @@ def chunk_tuples(spec: SweepSpec) -> int:
     order = counting_rule(spec.rank, spec.dim).order
     if order is None:
         return CHUNK
-    max_abs = max(abs(end) for ends in spec.bounds for end in ends)
-    bits = kernels.certificate_bits(order, max_abs, _CHUNK_BITS // order)
+    bits = kernels.certificate_bits(order, spec.max_abs(), _CHUNK_BITS // order)
     return max(1, min(CHUNK, _CHUNK_BITS // (order * bits)))
 
 
@@ -299,7 +338,7 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     stop = min(stop, spec.tuple_count())
     start = min(start, stop)
     limit = kernels.INT64_LIMIT  # every radix hi - lo + 1 fits when every end is below it
-    fits = stop <= limit and all(abs(end) < limit for ends in bounds for end in ends)
+    fits = stop <= limit and spec.max_abs() < limit
     index = np.arange(start, stop, dtype=np.int64 if fits else object)
     classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)
     for j in range(len(bounds) - 1, -1, -1):
@@ -361,7 +400,7 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
     # beyond 53 bits a double-based JSON parser would silently round, so such
     # a class is written as a string, the bytes json.dumps gives its digits;
     # every class lies between the box's ends, so small ends make every class small
-    if fmt == "json" and any(abs(end) > _SAFE_JSON_INT for ends in spec.bounds for end in ends):
+    if fmt == "json" and spec.max_abs() > _SAFE_JSON_INT:
         columns = [[c if abs(c) <= _SAFE_JSON_INT else f'"{c}"' for c in col] for col in columns]
     regime = counting_rule(spec.rank, spec.dim).regime
     records = {c: record.format(classes=classes, count=unknown if c is None else c,
@@ -375,30 +414,6 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
 def table_width(n_classes: int) -> int:
     """Width of the classes column of ``--format table``."""
     return max(20, 9 * n_classes)
-
-
-def header(fmt: str, n_classes: int) -> str:
-    """The line a sweep's output opens with, before the records."""
-    if fmt == "csv":
-        return "classes,count,regime,failing_r,extension\n"
-    if fmt == "table":
-        return f"{'classes':<{table_width(n_classes)}} {'count':>7} {'regime':<13} {'failing':<20} ext\n"
-    return ""
-
-
-def summary(fmt: str, total: int, tally: Sequence[int]) -> tuple[str, str]:
-    """The text a sweep's stdout ends with, and the line it writes to stderr.
-
-    ``tally`` holds the tuples of count 0, 1, 2 and unknown over the box,
-    the sum of every ``Chunk.tally``.  JSON ends stdout with a
-    ``{"summary": ...}`` record and a table with the totals; csv keeps
-    stdout to its records and writes the totals to stderr instead.
-    """
-    fields = dict(zip(("total", "count_0", "count_1", "count_2", "unknown"), (total, *tally)))
-    if fmt == "json":
-        return '{"summary":{' + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}}\n", ""
-    text = " ".join(f"{k}={v}" for k, v in fields.items())
-    return ("", f"summary: {text}\n") if fmt == "csv" else (f"{text}\n", "")
 
 
 def parse_bounds(text: str) -> tuple[tuple[int, int], ...]:

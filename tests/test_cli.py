@@ -170,6 +170,14 @@ class TestSweepCommand:
         assert code == 2
         assert f"between 1 and {MAX_JOBS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_tuples_below_one_is_named(self, cap, capsysbinary):
+        assert cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds", "-2:2,-2:2",
+                         "--max-tuples", cap]) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert err == f"error: max_tuples must be >= 1, got {cap}\n".encode()
+
     def test_csv_shape(self):
         proc = run_cli("sweep", "--rank", "2", "--dim", "3",
                        "--bounds", "1:1,1:1", "--format", "csv")
@@ -559,6 +567,16 @@ class TestInputsOutOfReach:
                          "--bounds", "0:0,0:0,0:0"]) == 0
         out, err = capsys.readouterr()
         assert "stable_range" in out and "error" not in err
+
+
+def test_admit_sizes_classes_past_the_digit_limit_without_printing_them():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least Python allows, below the class's 701 digits
+    try:
+        with pytest.raises(cli.UsageError, match="limit of 640 digits.*PYTHONINTMAXSTRDIGITS"):
+            cli._admit(2, [10**700])
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestSweepModule:

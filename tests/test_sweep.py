@@ -524,28 +524,41 @@ def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("fmt", sweep.FORMATS)
-def test_cli_output_matches_reference(fmt, capsysbinary):
+# "xml" goes to sweep.write itself, since argparse refuses it before a sweep starts
+OUTPUT_CASES = [(fmt, jobs) for jobs in (1, 2) for fmt in sweep.FORMATS] + [("xml", 1)]
+
+
+@pytest.mark.parametrize("fmt, jobs", OUTPUT_CASES,
+                         ids=[fmt if jobs == 1 else f"{fmt}-jobs{jobs}" for fmt, jobs in OUTPUT_CASES])
+def test_cli_output_matches_reference(fmt, jobs, capsysbinary, monkeypatch):
+    monkeypatch.setattr(sweep, "CHUNK", 64)  # 10 chunks, so --jobs 2 forks a lane
     rank, dim, bounds = BOXES["straddles_certificate"]
+    if fmt not in sweep.FORMATS:  # refused before either stream is written
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            sweep.write(SweepSpec(rank, dim, bounds), fmt, sys.stdout.buffer, sys.stderr)
+        assert capsysbinary.readouterr() == (b"", b"")
+        return
     text = ",".join(f"{lo}:{hi}" for lo, hi in bounds)
     assert cli.main(["sweep", "--rank", str(rank), "--dim", str(dim),
-                     f"--bounds={text}", "--format", fmt]) == 0
+                     f"--bounds={text}", "--format", fmt, "--jobs", str(jobs)]) == 0
     out, err = capsysbinary.readouterr()
     records, totals = reference_records(rank, dim, bounds, fmt)
     total = sum(totals.values())
     summary = (f"total={total} count_0={totals[0]} count_1={totals[1]} "
                f"count_2={totals[2]} unknown={totals[None]}")
+    banner = f"sweep: {total} tuples, rank {rank} on CP^{dim}, jobs={jobs}\n"
     if fmt == "json":
         want = records + json.dumps({"summary": {
             "total": total, "count_0": totals[0], "count_1": totals[1],
             "count_2": totals[2], "unknown": totals[None]}}, separators=(",", ":")).encode() + b"\n"
-    elif fmt == "csv":
+    elif fmt == "csv":  # csv's totals go to stderr alone
         want = b"classes,count,regime,failing_r,extension\n" + records
-        assert f"summary: {summary}".encode() in err
+        banner += f"summary: {summary}\n"
     else:
         head = f"{'classes':<20} {'count':>7} {'regime':<13} {'failing':<20} ext\n"
         want = head.encode() + records + summary.encode() + b"\n"
     assert out == want
+    assert err == banner.encode()
 
 
 @given(
