@@ -159,8 +159,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_count(args) -> int:
-    classes = parse_classes(args.classes)
-    vector = _vector(args.rank, args.dim, classes)
+    try:
+        vector = ChernVector(args.rank, args.dim, parse_classes(args.classes))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _admit(counting_rule(vector.rank, vector.dim).order, vector.classes)
     result = count_bundles(vector)
     print(f"rank {vector.rank} bundle on CP^{vector.dim} with classes {vector.classes}")
@@ -210,13 +212,6 @@ def cmd_diagnose(args) -> int:
     return 1 if failed else 0
 
 
-def _vector(rank: int, dim: int, classes: tuple[int, ...]) -> ChernVector:
-    try:
-        return ChernVector(rank, dim, classes)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _merge_value_flags(argv: Sequence[str]) -> list[str]:
     # "--classes -1,2" parses as a flag followed by an unknown option;
     # rewrite to "--classes=-1,2" so leading minus signs survive argparse
@@ -228,9 +223,9 @@ def _merge_value_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # before numpy loads: its OpenBLAS would start a thread pool, which the
-    # fork of each sweep worker lane leaves behind in an unknown state; a
-    # value the caller sets is kept
+    # before numpy loads: its OpenBLAS would start a thread pool, whose start
+    # about doubles numpy's import and which the fork of a sweep worker lane
+    # leaves behind in an unknown state; a value the caller sets is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     if argv is None:

@@ -96,12 +96,13 @@ def certificate_bits(order: int, max_abs: int, cap: int) -> int:
 def _weights(order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
-    # stirling[r-2, k-1] = s(r, k) and factorials[r-2] = r!, for 2 <= r <= order,
+    # stirling[r-2, k-1] = (-1)^(k+1) s(r, k) and factorials[r-2] = r!, 2 <= r <= order,
     # built as Python ints and cast: both leave int64 from r = 21, past every
     # order the certificate admits (N <= 19)
     stirling = np.zeros((max(order - 1, 0), order), dtype=object)
     for r in range(2, order + 1):
         stirling[r - 2, :r] = stirling_row(r)[1:]
+    stirling[:, 1::2] *= -1
     factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=object).reshape(-1, 1)
     stirling, factorials = stirling.astype(dtype), factorials.astype(dtype)
     stirling.flags.writeable = factorials.flags.writeable = False
@@ -117,7 +118,12 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     it satisfies ``int64_certified`` the column operations run in int64 and
     no operation is checked afterwards; elsewhere they run exactly on
     Python ints, at any size.  The returned dtype, int64 or ``object``,
-    says which ran.
+    says which ran; a C-ordered ``(N, T)`` array's transpose is read with no
+    copy.  Newton's identities run on the roots -d_j of y^N + c_1 y^(N-1)
+    + ... + c_N itself, u_k = k c_k - sum_(i<k) c_i u_(k-i) = (-1)^(k+1) p_k,
+    the sign going into the weights of B_r's numerator sum_k s(r,k) p_k.
+    Every term added, k c_k, c_i u_(k-i) or (-1)^(k+1) s(r,k) u_k, thus has
+    the absolute value of one that the proof of ``int64_certified`` bounds.
     """
     import numpy as np
 
@@ -126,14 +132,10 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dtype = np.int64 if int64_certified(order, max_abs) else object
     c = np.ascontiguousarray(classes.T, dtype=dtype)
     stirling, factorials = _weights(order, c.dtype)
-    # Newton's identities, p_k = (-1)^(k-1) k c_k + sum over i < k of
-    # (-1)^(i-1) c_i p_(k-i), one row of power sums at a time: a fixed
-    # number of column operations per k, so a call on few tuples of a high
-    # order costs little more than their arithmetic
-    signed = c * np.resize(np.array([1, -1], dtype=c.dtype), order)[:, None]
-    p = np.empty_like(c)
+    # a fixed number of column operations per k, so few tuples of a high order cost little
+    u = np.empty_like(c)
     for k in range(1, order + 1):
-        p[k - 1] = k * signed[k - 1] + (signed[: k - 1] * p[: k - 1][::-1]).sum(axis=0)
-    num = stirling @ p
+        u[k - 1] = k * c[k - 1] - (c[: k - 1] * u[: k - 1][::-1]).sum(axis=0)
+    num = stirling @ u
     g = np.gcd(num, factorials)
     return (num // g).T, (factorials // g).T

@@ -4,13 +4,14 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
-a chunk large.  Each range goes through two stages.  ``classify`` decodes
-it once into a column array of classes (int64 when its indices and the
-box's ends fit, else Python ints), hands that to the batch kernel, which
-reads the largest |c_i| off it and runs in int64 where its overflow
-certificate holds, else on Python ints, and applies the counting rule: the
-verdicts, with no text.  ``render`` writes them to bytes, every format
-alike: one ``%`` over the chunk's failing B_r, then one over its records.
+a chunk large; a box holds at most 2^62 tuples, so every index is an int64.
+Each range goes through two stages.  ``classify`` decodes it once, one row
+per class (int64 when the box's ends are below 2^62, else Python ints),
+hands its transpose to the batch kernel, which reads the largest |c_i| off
+it and runs in int64 where its overflow certificate holds, else on Python
+ints, and applies the counting rule: the verdicts, with no text.
+``render`` writes them to bytes, every format alike: one ``%`` over the
+chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
 calling process renders its own share and each worker lane, a bare
 ``os.fork`` child, streams its finished chunks down one raw pipe, each
@@ -68,7 +69,8 @@ class LaneDied(RuntimeError):
 class SweepSpec:
     """A sweep request: one inclusive integer interval per stored class.
 
-    Construction raises BoxTooLarge if the box holds over ``max_tuples``.
+    Construction raises BoxTooLarge if the box holds over ``max_tuples``
+    tuples, or over 2^62, past which an index would leave int64, whatever the cap.
     """
 
     rank: int
@@ -94,6 +96,8 @@ class SweepSpec:
         if self.max_tuples < 1:
             raise ValueError(f"max_tuples must be >= 1, got {self.max_tuples}")
         total = self.tuple_count()
+        if total > kernels.INT64_LIMIT:
+            raise BoxTooLarge(f"box holds {total} tuples, above the 2^62 a sweep can index")
         if total > self.max_tuples:
             raise BoxTooLarge(
                 f"box holds {total} tuples, above the cap of {self.max_tuples}; "
@@ -192,8 +196,7 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
         raise ValueError(f"unknown format {fmt!r}")
     total, size = spec.tuple_count(), chunk_tuples(spec)
     starts = range(0, total, size)
-    chunks = -(-total // size)  # len(starts) overflows past sys.maxsize chunks
-    lanes = min(spec.jobs, chunks)
+    lanes = min(spec.jobs, len(starts))
     workers = []
     if lanes > 1:
         import numpy  # noqa: F401  loaded before the first fork, so every worker lane inherits it
@@ -201,7 +204,7 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
         for lane in range(1, lanes):
             workers.append(_Lane(_lane_main, spec, fmt, starts[lane::lanes], size))
         own = (render_chunk(spec, fmt, start, start + size) for start in starts[::lanes])
-        for k in range(chunks):
+        for k in range(len(starts)):
             lane = k % lanes
             yield next(own) if lane == 0 else workers[lane - 1].receive(lane, lanes)
     finally:
@@ -327,38 +330,38 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
 
     ``start`` and ``stop`` may run past the box's end and are clipped to
     it, so a range that begins there, or ends before it begins, is an
-    empty chunk.  The range
-    is decoded once into a column array of classes, in int64 when every
-    index and interval end fits it, else in Python ints; the batch kernel
-    picks its own arithmetic from the decoded classes.
+    empty chunk.  The range is decoded once, class-major, into an
+    ``(order, T)`` array whose row j holds class j + 1 of every tuple, rows
+    past the stored classes zero: int64 when every end of the box is below
+    2^62, else Python ints.  The batch kernel reads its transpose with no
+    copy and picks its own arithmetic from the decoded classes.
     """
     import numpy as np
 
     bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
     stop = min(stop, spec.tuple_count())
     start = min(start, stop)
-    limit = kernels.INT64_LIMIT  # every radix hi - lo + 1 fits when every end is below it
-    fits = stop <= limit and spec.max_abs() < limit
-    index = np.arange(start, stop, dtype=np.int64 if fits else object)
-    classes = np.zeros((stop - start, rule.order or len(bounds)), dtype=index.dtype)
+    index = np.arange(start, stop, dtype=np.int64)  # a box holds at most 2^62 tuples
+    dtype = np.int64 if spec.max_abs() < kernels.INT64_LIMIT else object
+    classes = np.zeros((rule.order or len(bounds), len(index)), dtype=dtype)
     for j in range(len(bounds) - 1, -1, -1):
         lo, hi = bounds[j]
-        index, digit = index // (hi - lo + 1), index % (hi - lo + 1)
-        classes[:, j] = digit + lo
-    failing, terms = np.zeros(len(classes), dtype=np.int64), []
+        np.divmod(index, hi - lo + 1, out=(index, classes[j]))
+        classes[j] += lo
+    failing, terms = np.zeros(len(index), dtype=np.int64), []
     if rule.order is not None:
-        num, den = kernels.schwarz_terms_batch(classes)
+        num, den = kernels.schwarz_terms_batch(classes.T)
         fails = den != 1
         failing = fails.sum(axis=1)
         rows, cols = np.nonzero(fails)  # row-major, so each row's terms come out in r order
         cells = (cols + 2, num[rows, cols], den[rows, cols])
         terms = np.stack(cells, axis=1).ravel().tolist()
-    counts = rule.count(failing == 0, classes[:, 0])
+    counts = rule.count(failing == 0, classes[0])
     if counts is None:
-        counts, tally = [None] * len(classes), (0, 0, 0, len(classes))
+        counts, tally = [None] * len(index), (0, 0, 0, len(index))
     else:
         counts, tally = counts.tolist(), (*np.bincount(counts, minlength=3).tolist(), 0)
-    return Verdicts(classes[:, : len(bounds)].T.tolist(), counts, failing.tolist(), terms, tally)
+    return Verdicts(classes[: len(bounds)].tolist(), counts, failing.tolist(), terms, tally)
 
 
 # per format: a failing B_r's template, led by its one-character separator;

@@ -163,6 +163,15 @@ class TestSweepCommand:
         assert out == b""
         assert err.decode().startswith("error: box holds 25 tuples, above the cap of 10")
 
+    @pytest.mark.parametrize("cap", [None, "10", str(2**62), str(2**70)])
+    def test_box_past_2_62_tuples_is_refused_at_any_cap(self, cap, capsysbinary):
+        # 2^62 + 1 tuples: past them a linear index would leave int64
+        argv = ["sweep", "--rank", "1", "--dim", "2", "--bounds", f"0:{2**62}"]
+        assert cli.main(argv + (["--max-tuples", cap] if cap else [])) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert err == f"error: box holds {2**62 + 1} tuples, above the 2^62 a sweep can index\n".encode()
+
     def test_too_many_jobs_rejected(self, capsys):
         # in-process: the spec is refused before any worker could start
         code = cli.main(["sweep", "--rank", "2", "--dim", "3",
@@ -682,6 +691,18 @@ def test_abbreviated_options_are_usage_errors(argv):
     assert code == 2 and out == b""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert run_main(["check", "--classes", "-1,2"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "--rank", "0", "--dim", "3", "--bounds", "0:1"], "rank and dim must be >= 1"),
+    (["count", "--rank", "0", "--dim", "3", "--classes", "0"], "rank must be >= 1, got 0"),
+    (["count", "--rank", "2", "--dim", "0", "--classes", "0"],
+     "ambient dimension must be >= 1, got 0"),
+    (["check", "--classes", "0", "--N", "0"], "--N must be >= 1, got 0"),
+    (["diagnose", "--classes", "0", "--N", "0"], "--N must be >= 1, got 0"),
+], ids=["sweep_rank", "count_rank", "count_dim", "check_n", "diagnose_n"])
+def test_sizes_below_one_are_named(argv, error):
+    assert run_main(argv) == (2, b"", f"error: {error}\n")
 
 
 LONG = "9" * 4301  # past Python's default limit of 4300 digits for int()

@@ -259,7 +259,7 @@ def test_random_boxes_match_reference(box, fmt, chunk, int64):
 
 def test_chunk_size_follows_the_certificate():
     # at the order cap one tuple's B_r alone pass the bit budget
-    assert sweep.chunk_tuples(SweepSpec(399, 400, ((-3, 3),) * 399, max_tuples=7**399)) == 1
+    assert sweep.chunk_tuples(SweepSpec(399, 400, ((-3, 3),) + ((-3, -3),) * 398)) == 1
     # boxes shaped like rank2-box and rank6-spine, and one tested by no condition
     assert sweep.chunk_tuples(SweepSpec(2, 3, ((-150, 150),) * 2)) == sweep.CHUNK
     assert sweep.chunk_tuples(SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)) == sweep.CHUNK
@@ -287,15 +287,16 @@ def test_sweep_at_the_order_cap_holds_one_tuple_per_chunk():
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
 def test_decodes_indices_past_int64(fmt):
-    # the last tuples of a box of more than 2^80: their linear indices and
-    # the radices pass int64, so the decoding runs on Python ints
-    bounds = ((0, 2**40), (0, 2**40))
-    spec = SweepSpec(2, 3, bounds, max_tuples=2**81)
+    # no index passes int64: a box holds at most 2^62 tuples.  The last
+    # tuples of a box of exactly 2^62, decoded in int64, are those that
+    # Python-int divmod gives
+    bounds = ((0, 2**31 - 1), (0, 2**31 - 1))
+    spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
-    assert total > 2 * kernels.INT64_LIMIT
+    assert total == kernels.INT64_LIMIT
     start = total - 5
-    tuples = [divmod(index, 2**40 + 1) for index in range(start, total)]
-    assert tuples[-1] == (2**40, 2**40)
+    tuples = [divmod(index, 2**31) for index in range(start, total)]
+    assert tuples[-1] == (2**31 - 1, 2**31 - 1)
     pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
     got = sweep.render_chunk(spec, fmt, start, total)
     assert got.data == render_reference(pairs, 2, fmt)
@@ -322,16 +323,16 @@ def decode(index, bounds):
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
 @pytest.mark.parametrize("bounds, kernel_dtypes", [
-    # an end past int64: decoded on Python ints, whose small classes at
-    # the start still run the int64 kernel
-    (((-2, 2**63), (-5, 5)), (np.int64, object)),
-    # the widest interval decoded in int64, its radix 2^63 - 1
-    (((-5, 5), (1 - 2**62, 2**62 - 1)), (object, object)),
+    # an end past int64: decoded on Python ints
+    (((2**63, 2**63 + 4), (-5, 5)), (object, object)),
+    # the widest interval a box admits, its radix 2^62, decoded in int64:
+    # its small classes at the start run the int64 kernel
+    (((0, 0), (-5, 2**62 - 6)), (np.int64, object)),
 ])
 def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypatch):
-    spec = SweepSpec(2, 3, bounds, max_tuples=2**68)
+    spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
-    assert total > kernels.INT64_LIMIT
+    assert total <= kernels.INT64_LIMIT
     dtypes = spy_on_kernel(monkeypatch)
     for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
         tuples = [decode(i, bounds) for i in range(start, stop)]
@@ -342,6 +343,18 @@ def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypa
         assert got.data == render_reference(pairs, 2, fmt)
         assert got.tally == tally([result.count for _, result in pairs])
     assert tuples[-1] == tuple(hi for lo, hi in bounds)
+
+
+@pytest.mark.parametrize("bounds", [
+    ((-2, 2**63), (-5, 5)),
+    ((-5, 5), (1 - 2**62, 2**62 - 1)),
+    ((0, 2**40), (0, 2**40)),
+])
+def test_box_past_2_62_tuples_is_refused(bounds):
+    # whatever the cap: past 2^62 tuples a linear index would leave int64
+    for cap in (sweep.DEFAULT_MAX_TUPLES, 2**62, 2**200):
+        with pytest.raises(sweep.BoxTooLarge, match=r"above the 2\^62 a sweep can index"):
+            SweepSpec(2, 3, bounds, max_tuples=cap)
 
 
 @pytest.mark.parametrize("box", ["corank_one_rank2", "straddles_certificate", "big_classes"])
@@ -515,10 +528,12 @@ def test_cli_reports_a_killed_lane(monkeypatch, capsys):
 
 
 def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
-    bounds = ((0, 10**14), (0, 10**14))
-    first = sweep.render_chunk(SweepSpec(2, 3, bounds, max_tuples=10**29), "csv", 0, sweep.CHUNK)
+    # no box has that many chunks: the largest a box admits, of 2^62
+    # tuples, starts its worker lane
+    bounds = ((0, 2**31 - 1), (0, 2**31 - 1))
+    first = sweep.render_chunk(SweepSpec(2, 3, bounds, max_tuples=2**62), "csv", 0, sweep.CHUNK)
     with deadline(60):
-        chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=10**29), "csv")
+        chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=2**62), "csv")
         assert next(chunks) == first
         chunks.close()
     assert_no_child_left()
