@@ -4,10 +4,10 @@ The decision engine.  Integers (c_1, ..., c_N) are the Chern classes of a
 rank-N bundle on CP^N exactly when every binomial sum B_r of their Chern
 roots, 2 <= r <= N, is an integer (the Schwarzenberger condition S_N); a
 rank-n bundle on CP^(n+1) exists for (c_1, ..., c_n) exactly when
-(c_1, ..., c_n, 0) satisfies S_(n+1).  On top of the existence predicate,
-``counting_rule`` holds the number of isomorphism classes in the three
-regimes where the answer is known in full, for ``count_bundles`` and the
-sweep alike:
+(c_1, ..., c_n, 0) satisfies S_(n+1).  ``counting_rule`` owns every verdict
+rule, for ``count_bundles`` and the sweep alike: it names the orders to test
+and gives each tuple a count code, 0, 1, 2 or UNKNOWN (3).  The count is
+known in full in three regimes:
 
 * rank 1: a unique line bundle for every first Chern class;
 * rank >= dim (stable range): a unique bundle when S_dim holds, else none
@@ -20,8 +20,8 @@ Everything else is honestly reported as unknown.
 
 When two classes exist, the paper claims that exactly one of them extends
 to the next projective space.  ``count_bundles`` repeats that claim only
-where S_(rank+2) holds on the classes followed by two zeros, which every
-bundle on CP^(rank+2) satisfies; where it fails, neither class extends.
+where S_(rank+2), the rule's ``extension``, holds on the classes followed
+by two zeros, as it does for every bundle on CP^(rank+2); else neither does.
 
 Beneath the predicate sits the typed single-tuple exact API:
 ``binomial_sum`` gives B_r of the Chern roots of one class vector,
@@ -42,6 +42,7 @@ LINE_BUNDLE = "line_bundle"
 STABLE_RANGE = "stable_range"
 CORANK_ONE = "corank_one"
 UNSUPPORTED = "unsupported"
+UNKNOWN = 3  # the count code of an unknown count, and the last slot of a sweep's tally
 
 ClassData = Union[ChernVector, Sequence[int]]
 
@@ -152,23 +153,24 @@ class CountingRule:
 
     ``order`` is the N of the condition S_N that decides existence, tested
     on the classes zero-extended to length N; it is None when no condition
-    is tested.  ``splits`` is set when an even c_1 gives two classes.
+    is tested.  ``extension``, set exactly when an even c_1 gives two classes,
+    is the N of the S_N on (c, 0, 0) that either needs to extend: rank + 2.
     """
 
     regime: str
     order: Optional[int]
-    splits: bool = False
+    extension: Optional[int] = None
 
     def count(self, satisfied, c1):
-        """The count, given the S_N verdict and c_1.
+        """The count code, given the S_N verdict and c_1: 0, 1, 2 or UNKNOWN.
 
         Works alike on one tuple (a bool and an int) and elementwise on
-        numpy arrays of verdicts and first classes.  None when the regime
-        is unsupported; pass ``satisfied=True`` when ``order`` is None.
+        numpy arrays of verdicts and first classes.  Pass
+        ``satisfied=True`` when ``order`` is None.
         """
         if self.regime == UNSUPPORTED:
-            return None
-        return satisfied * (1 + (self.splits & (c1 % 2 == 0)))
+            return satisfied * UNKNOWN
+        return satisfied * (1 + ((self.extension is not None) & (c1 % 2 == 0)))
 
 
 def counting_rule(rank: int, dim: int) -> CountingRule:
@@ -186,7 +188,7 @@ def counting_rule(rank: int, dim: int) -> CountingRule:
         return CountingRule(STABLE_RANGE, order=dim)
     if dim == rank + 1:
         # two classes exactly when rank and c_1 are both even
-        return CountingRule(CORANK_ONE, order=rank + 1, splits=rank % 2 == 0)
+        return CountingRule(CORANK_ONE, rank + 1, rank + 2 if rank % 2 == 0 else None)
     return CountingRule(UNSUPPORTED, order=None)
 
 
@@ -204,10 +206,10 @@ def count_bundles(v: ChernVector) -> BundleCount:
         # on (c, 0, 0).  S_(n+1) holds on (c, 0), and a further zero root adds
         # C(0, r) = 0 to each B_r, so only B_(n+2) can fail.  Only r is named,
         # since the digit cap admits S_(n+1) only
-        order = v.rank + 2
-        if binomial_sum(v, order).denominator != 1:
+        N = rule.extension
+        if binomial_sum(v, N).denominator != 1:
             note = (f"neither of the two isomorphism classes extends to CP^{v.dim + 1}: "
-                    f"S_{order} fails at r = {order} with c_{order - 1} = c_{order} = 0")
+                    f"S_{N} fails at r = {N} with c_{N - 1} = c_{N} = 0")
         else:
             note = f"exactly one of the two isomorphism classes extends to CP^{v.dim + 1}"
-    return BundleCount(count=count, regime=rule.regime, extension_note=note, report=report)
+    return BundleCount(None if count == UNKNOWN else count, rule.regime, note, report)

@@ -9,7 +9,7 @@ Each range goes through two stages.  ``classify`` decodes it once, one row
 per class (int64 when the box's ends are below 2^62, else Python ints),
 hands its transpose to the batch kernel, which reads the largest |c_i| off
 it and runs in int64 where its overflow certificate holds, else on Python
-ints, and applies the counting rule: the verdicts, with no text.
+ints, and applies the counting rule: verdicts as count codes 0 to 3, no text.
 ``render`` writes them to bytes, every format alike: one ``%`` over the
 chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
@@ -36,7 +36,7 @@ from typing import BinaryIO, Iterator, NamedTuple, TextIO
 
 from . import kernels
 from .chern import ChernVector
-from .enumeration import BundleCount, count_bundles, counting_rule
+from .enumeration import UNKNOWN, BundleCount, count_bundles, counting_rule
 
 DEFAULT_MAX_TUPLES = 10_000_000
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
@@ -305,11 +305,11 @@ class Verdicts(NamedTuple):
     """The classification of one index range of the box, before any text.
 
     ``columns`` holds the stored classes, one list per class, and
-    ``counts`` the count of each tuple: 0, 1, 2, or None where unknown.
+    ``counts`` the count code of each tuple: 0, 1, 2, or UNKNOWN (3).
     ``failing`` gives the number of B_r of each tuple that are not
     integers, and ``terms`` those B_r row-major, each tuple's in r order,
     as flat triples r, num, den with B_r = num/den in lowest terms.
-    ``tally`` is the number of tuples of count 0, 1, 2 and unknown.
+    ``tally`` is the number of tuples of each code, 0 to UNKNOWN.
     """
 
     columns: list
@@ -357,11 +357,9 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
         cells = (cols + 2, num[rows, cols], den[rows, cols])
         terms = np.stack(cells, axis=1).ravel().tolist()
     counts = rule.count(failing == 0, classes[0])
-    if counts is None:
-        counts, tally = [None] * len(index), (0, 0, 0, len(index))
-    else:
-        counts, tally = counts.tolist(), (*np.bincount(counts, minlength=3).tolist(), 0)
-    return Verdicts(classes[: len(bounds)].tolist(), counts, failing.tolist(), terms, tally)
+    tally = tuple(np.bincount(counts, minlength=UNKNOWN + 1).tolist())
+    columns = classes[: len(bounds)].tolist()
+    return Verdicts(columns, counts.tolist(), failing.tolist(), terms, tally)
 
 
 # per format: a failing B_r's template, led by its one-character separator;
@@ -406,7 +404,7 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
     if fmt == "json" and spec.max_abs() > _SAFE_JSON_INT:
         columns = [[c if abs(c) <= _SAFE_JSON_INT else f'"{c}"' for c in col] for col in columns]
     regime = counting_rule(spec.rank, spec.dim).regime
-    records = {c: record.format(classes=classes, count=unknown if c is None else c,
+    records = {c: record.format(classes=classes, count=unknown if c == UNKNOWN else c,
                                 regime=regime, ext=yes if c == 2 else no)
                for c in set(counts)}
     args = itertools.chain.from_iterable(zip(*columns, texts))

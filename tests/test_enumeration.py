@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,9 @@ from bundle_census import (
     from_line_bundles,
     twist_by_line,
 )
+from bundle_census import sweep
+from bundle_census.enumeration import UNKNOWN, CountingRule, counting_rule
+from bundle_census.sweep import SweepSpec
 from oracles import binom_sum_brute, elem_sym_brute
 
 int_roots = st.lists(st.integers(-20, 20), min_size=1, max_size=10)
@@ -206,6 +210,70 @@ class TestCountBundles:
                 if result.count in (1, 2):
                     assert (result.count == 2) == (c1 % 2 == 0)
                     assert (result.extension_note is not None) == (result.count == 2)
+
+
+# (rank, dim) at every boundary of the regimes, and the rule each gets:
+# the regime, the order of the condition tested, and the extension order
+RULES = [
+    ((1, 1), (LINE_BUNDLE, None, None)),
+    ((1, 2), (LINE_BUNDLE, None, None)),
+    ((1, 5), (LINE_BUNDLE, None, None)),
+    ((2, 2), (STABLE_RANGE, 2, None)),
+    ((5, 5), (STABLE_RANGE, 5, None)),
+    ((3, 2), (STABLE_RANGE, 2, None)),
+    ((9, 4), (STABLE_RANGE, 4, None)),
+    ((2, 3), (CORANK_ONE, 3, 4)),
+    ((3, 4), (CORANK_ONE, 4, None)),
+    ((4, 5), (CORANK_ONE, 5, 6)),
+    ((398, 399), (CORANK_ONE, 399, 400)),
+    ((399, 400), (CORANK_ONE, 400, None)),
+    ((2, 4), (UNSUPPORTED, None, None)),
+    ((3, 5), (UNSUPPORTED, None, None)),
+    ((2, 400), (UNSUPPORTED, None, None)),
+]
+
+
+class TestCountingRule:
+    @pytest.mark.parametrize("shape, rule", RULES, ids=[f"{r}-on-{d}" for (r, d), _ in RULES])
+    def test_rule_at_each_regime_boundary(self, shape, rule):
+        assert counting_rule(*shape) == CountingRule(*rule)
+
+    # the count code for each (satisfied, c_1) per regime: line bundle, stable
+    # range, corank one of even rank (it splits) and of odd rank, unsupported
+    CODES = {
+        (1, 2): {(True, 0): 1, (True, 1): 1},
+        (3, 2): {(True, 0): 1, (True, 1): 1, (False, 0): 0, (False, 1): 0},
+        (2, 3): {(True, 0): 2, (True, -2): 2, (True, 1): 1, (False, 0): 0, (False, 1): 0},
+        (3, 4): {(True, 0): 1, (True, 1): 1, (False, 0): 0, (False, 1): 0},
+        (2, 4): {(True, 0): UNKNOWN, (True, 1): UNKNOWN},
+    }
+
+    @pytest.mark.parametrize("shape", CODES)
+    def test_count_codes_on_scalars(self, shape):
+        rule = counting_rule(*shape)
+        for (satisfied, c1), code in self.CODES[shape].items():
+            got = rule.count(satisfied, c1)
+            assert got == code and type(got) is int, (satisfied, c1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("shape", CODES)
+    def test_count_codes_on_arrays(self, shape, dtype):
+        cases = self.CODES[shape]
+        satisfied = np.array([s for s, _ in cases])
+        c1 = np.array([c for _, c in cases], dtype=dtype)
+        if dtype is object:  # a first class past int64 keeps its parity
+            c1 += 2**70
+        got = counting_rule(*shape).count(satisfied, c1)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(cases.values())
+        assert np.bincount(got, minlength=UNKNOWN + 1).sum() == len(cases)
+
+    def test_unknown_is_the_last_tally_slot(self):
+        # a sweep tallies codes 0 to UNKNOWN; count_bundles reports UNKNOWN as None
+        assert UNKNOWN == 3
+        assert count_bundles(ChernVector(2, 4, (1, 2))).count is None
+        spec = SweepSpec(2, 4, ((0, 1), (0, 2)))
+        assert sweep.classify(spec, 0, 6).tally == (0, 0, 0, 6)
 
 
 def count_two_classes(rank, dim, side):

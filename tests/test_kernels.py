@@ -1,16 +1,23 @@
 """Kernel-level tests: exactness and oracle equivalence."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundle_census import _kernels_py as kpy
 from bundle_census import kernels, stirling_first
 from bundle_census.sweep import SweepSpec, render_chunk
-from oracles import binom_sum_brute, elem_sym_brute, falling_factorial, power_sum_brute
+from oracles import (
+    binom_sum_brute,
+    elem_sym_brute,
+    falling_factorial,
+    power_sum_brute,
+    schwarz_terms_companion,
+)
 
 # every case runs on _kernels_py; the single "python" id keeps the test
 # names the suite has always reported
@@ -264,6 +271,53 @@ def test_certificate_bits_is_the_capped_bit_length(order, max_abs, cap):
     full = order * math.prod(range(1 + max_abs, 1 + max_abs + order))
     assert kernels.certificate_bits(order, max_abs, cap) == min(full.bit_length(), cap + 1)
     assert kernels.int64_certified(order, max_abs) == (full < kernels.INT64_LIMIT)
+
+
+def non_integral(terms):
+    return any(den != 1 for _, _, den in terms)
+
+
+class TestCompanionReference:
+    """Every exact kernel path against the companion-matrix route on classes whose B_r are not all integers.
+
+    The route shares neither Newton's identities nor the Stirling weights
+    with the kernels, so it also checks their sign conventions.
+    """
+
+    @given(classes=st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=12))
+    @settings(max_examples=100)
+    def test_reference_kernel(self, classes):
+        want = schwarz_terms_companion(classes, len(classes))
+        assume(non_integral(want))
+        assert kpy.schwarz_terms(tuple(classes), len(classes)) == want
+
+    def assert_batch_matches_route(self, rows, runs_on):
+        wants = [schwarz_terms_companion(row, len(row)) for row in rows]
+        assume(any(map(non_integral, wants)))
+        num, den = kernels.schwarz_terms_batch(np.array(rows, dtype=runs_on))
+        assert num.dtype == den.dtype == runs_on
+        for want, nums, dens in zip(wants, num.tolist(), den.tolist()):
+            assert list(zip(range(2, len(nums) + 2), nums, dens)) == want
+
+    @given(data=st.data(), order=st.integers(3, 18), count=st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_int64_batch_at_the_certificate_edge(self, data, order, count):
+        m = certified_edge(order)
+        entry = st.one_of(st.integers(-m, m), st.sampled_from([-m, m]))
+        rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
+                                  min_size=count, max_size=count))
+        assume(any(abs(c) == m for row in rows for c in row))
+        self.assert_batch_matches_route(rows, np.int64)
+
+    @given(data=st.data(), order=st.integers(3, 12), count=st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_batch_on_python_ints_past_2_62(self, data, order, count):
+        big = st.integers(2**62, 10**30)
+        entry = st.one_of(big, big.map(operator.neg), st.integers(-50, 50))
+        rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
+                                  min_size=count, max_size=count))
+        assume(any(abs(c) >= 2**62 for row in rows for c in row))
+        self.assert_batch_matches_route(rows, object)
 
 
 class TestChunkPath:
