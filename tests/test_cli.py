@@ -6,6 +6,7 @@ import fcntl
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -290,14 +291,15 @@ def probe_startup(argv, patch="", env=None):
 
 
 class TestStartUp:
-    """numpy loads only on the paths that compute with it; multiprocessing never loads."""
+    """numpy loads only on the sweep, which computes with it; multiprocessing never loads."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["--version"], [False, False]),
         (["check", "--classes", "5,6,0"], [False, False]),
         (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], [False, False]),
+        (["diagnose", "--classes", "5,6,0"], [False, False]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"], [True, False]),
-    ], ids=["version", "check", "count", "sweep_one_job"])
+    ], ids=["version", "check", "count", "diagnose", "sweep_one_job"])
     def test_modules_loaded(self, argv, loaded):
         assert json.loads(probe_startup(argv)[-1]) == loaded
 
@@ -545,6 +547,15 @@ class TestInputsOutOfReach:
         assert out == b""
         assert err.decode().splitlines()[-1] == (
             f"error: condition order {cli.MAX_ORDER + 1} is above the cap of {cli.MAX_ORDER}")
+
+    def test_diagnose_searches_roots_at_the_cap(self, capsys):
+        # zero classes are all exact zero roots, so the order-cap run above
+        # never iterates; these make the root search run at degree MAX_ORDER
+        rng = random.Random(400)
+        classes = ",".join(str(rng.randint(-3, 3)) for _ in range(cli.MAX_ORDER))
+        assert cli.main(["diagnose", "--classes", classes]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:-1]
+        assert [int(row.split()[0]) for row in rows] == list(range(2, cli.MAX_ORDER + 1))
 
     def test_extension_test_fits_under_the_cap(self, capsys):
         # two classes need an even rank, at most 398 under the cap, and its

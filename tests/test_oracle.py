@@ -15,7 +15,9 @@ from bundle_census import (
     check_schwarzenberger,
     compare_exact_numeric,
     find_roots,
+    from_line_bundles,
 )
+from bundle_census import oracle
 from bundle_census.oracle import (
     AGREE_TOL,
     CONDITION_CAP,
@@ -67,6 +69,74 @@ def test_roots_sorted_deterministically():
     assert a.roots == b.roots
 
 
+class TestAberth:
+    """The pure-Python root search against numpy.roots and against known roots."""
+
+    def test_matches_numpy_roots_on_diagnose_draws(self):
+        # the draws of the diagnose benchmark: N in [20, 150], |c_i| <= M,
+        # M log-uniform up to 10^3; numpy is imported here, not by the library
+        import numpy as np
+
+        rng = random.Random(150)
+        for _ in range(16):
+            n = rng.randint(20, 150)
+            m = round(1000 ** rng.random())
+            classes = tuple(rng.randint(-m, m) for _ in range(n))
+            want = [-complex(z) for z in np.roots((1,) + classes)]
+            roots = find_roots(classes)
+            assert len(roots.roots) == n
+            for delta in roots.roots:
+                assert min(abs(delta - w) for w in want) <= 1e-9 * max(1.0, abs(delta)), (n, m, delta)
+            # real roots and exact conjugate pairs, as numpy's eigenvalues
+            # come, make every finite B_r exactly real
+            sums = binomial_sums_numeric(roots, n)
+            assert all(value.imag == 0 for value in sums if cmath.isfinite(value)), (n, m)
+
+    def test_polishing_brings_the_residual_under_its_limit(self, monkeypatch):
+        # the Aberth roots stop at the rounding bound of their evaluation;
+        # the damped Newton steps take |P| a decade further here
+        classes = (11, 14, -5, 3, -13, 3, 11, 7, 14, -11)
+        assert find_roots(classes).reliable
+        monkeypatch.setattr(oracle, "POLISH_STEPS", 0)
+        assert not find_roots(classes).reliable
+
+    def test_trailing_zero_classes_are_exact_zero_roots(self):
+        # y^6 + 2y^5 - 5y^4 - 6y^3 = y^3 (y + 1)(y - 2)(y + 3): Chern roots 0, 0, 0, 1, -2, 3
+        roots = find_roots((2, -5, -6, 0, 0, 0))
+        assert roots.reliable
+        assert sum(delta == 0 for delta in roots.roots) == 3
+        nonzero = [delta for delta in roots.roots if delta != 0]
+        assert all(abs(got - want) < 1e-12 for got, want in zip(nonzero, (-2, 1, 3))), nonzero
+
+    @pytest.mark.parametrize("degrees", [(1,) * 6, (-2,) * 4 + (3,) * 3, (0, 0, 0, 5, 5, 1)])
+    def test_repeated_roots_from_line_bundles(self, degrees):
+        # the Chern roots are the degrees themselves; a k-fold root is
+        # determined only to about eps^(1/k) in floating point
+        roots = find_roots(from_line_bundles(degrees, len(degrees) + 1))
+        assert roots.reliable
+        for degree in set(degrees):
+            k = degrees.count(degree)
+            cluster = [delta for delta in roots.roots if abs(delta - degree) < 0.5]
+            assert len(cluster) == k, (degree, roots.roots)
+            assert all(abs(delta - degree) < 10 * 2.0 ** (-52 / k) * max(1, abs(degree)) for delta in cluster)
+
+    def test_large_roots_where_forward_horner_overflows(self):
+        # (y + 1000)(y^149 + 1): z^150 leaves the float range for |z| > 113,
+        # so near the root 10^3 the search has to evaluate in 1/z; the
+        # Chern roots are 1000 and the 149th roots of unity.  ``reliable``
+        # is left out: |P'| is about 10^447 at that root, so the residual,
+        # taken by forward Horner, is finite only where the root comes out
+        # exact to the last bit
+        classes = (1000,) + (0,) * 147 + (1, 1000)
+        roots = find_roots(classes)
+        want = [1000.0] + [cmath.exp(2j * cmath.pi * k / 149) for k in range(149)]
+        assert all(cmath.isfinite(delta) for delta in roots.roots)
+        for delta in roots.roots:
+            assert min(abs(delta - w) for w in want) <= 1e-12 * max(1.0, abs(delta)), delta
+        for w in want:
+            assert min(abs(delta - w) for delta in roots.roots) <= 1e-12 * max(1.0, abs(w)), w
+
+
 class TestBinomialSumNumeric:
     def test_integer_case(self):
         value = binomial_sum_numeric(ChernVector(2, 3, (5, 6)), 2)
@@ -108,7 +178,7 @@ class TestBinomialSumsNumeric:
         roots = find_roots(classes)
         n = len(classes)
         got = binomial_sums_numeric(roots, n + 1)
-        assert got.shape == (n + 1,)
+        assert len(got) == n + 1 and all(type(value) is complex for value in got)
         for r in range(1, n + 2):
             assert_close(got[r - 1], binomial_sum_numeric_reference(roots.roots, r), (classes, r))
 
@@ -125,7 +195,7 @@ class TestBinomialSumsNumeric:
     def test_wrapper_indexes_the_same_pass(self):
         roots = find_roots((3, -7, 2, 9))
         sums = binomial_sums_numeric(roots, 6)
-        assert [binomial_sum_numeric((3, -7, 2, 9), r, roots) for r in range(1, 7)] == sums.tolist()
+        assert [binomial_sum_numeric((3, -7, 2, 9), r, roots) for r in range(1, 7)] == sums
 
 
 def reference_rows(classes, r_values):
