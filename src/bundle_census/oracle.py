@@ -9,9 +9,9 @@ question floating point cannot answer, so near-integer values are
 reported with diagnostics only.
 
 Results carry reliability flags instead of silently degrading: a large
-root residual, a conditioning estimate beyond the trustworthy range, or an
-imaginary part above tolerance marks the value unreliable rather than
-letting it masquerade as a disagreement.
+root residual, a conditioning estimate beyond the trustworthy range, or a
+non-real value outside tolerance (B_r is real) marks the value unreliable
+rather than letting it masquerade as a disagreement.
 
 The path is plain Python floats and complex numbers, so ``diagnose``
 never loads numpy.
@@ -29,11 +29,9 @@ from typing import Optional, Sequence
 
 from .enumeration import ClassData, binomial_sum, check_schwarzenberger, coefficients
 
-# residual / imaginary-part tolerances scale with the coefficient size;
-# the agreement tolerance scales with (1 + max|delta|)^r since that is the
-# conditioning of the falling factorial at the roots
+# the residual tolerance scales with the coefficient size; the agreement tolerance
+# with (1 + max|delta|)^r, the conditioning of the falling factorial at the roots
 RESIDUAL_SCALE = 1e-8
-IMAG_SCALE = 1e-8
 AGREE_TOL = 1e-6
 CONDITION_CAP = 1e12
 # damped Newton steps refining the Aberth roots
@@ -295,10 +293,9 @@ def binomial_sums_numeric(roots: NumericRoots, r_max: int) -> list[complex]:
 
     Each C(delta_j, r) is built one factor (delta_j - i)/(i + 1) at a time
     by a cumulative product along r, so r! never forms and a value leaves
-    the float range only when the binomial itself does.  The sums are real
-    up to rounding (roots come in conjugate pairs); the imaginary parts are
-    left in place so callers can check them against tolerance instead of
-    trusting a silent projection.
+    the float range only when the binomial itself does.  B_r is real, so an
+    imaginary part is the float path's own error (roots that failed to close
+    under conjugation), left in place rather than silently projected away.
     """
     sums = [0j] * r_max
     for delta in roots.roots:
@@ -314,13 +311,6 @@ def binomial_sum_numeric(c: ClassData, r: int, roots: Optional[NumericRoots] = N
     return binomial_sums_numeric(roots if roots is not None else find_roots(c), r)[r - 1]
 
 
-def _saturating_float(x: int) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return float("inf")
-
-
 def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[NumericRoots, list[AgreementRow]]:
     """Exact and numeric B_r side by side for each requested r."""
     r_values = list(r_values)
@@ -332,22 +322,21 @@ def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[Numeri
     terms = {t.r: t.value for t in check_schwarzenberger(coeffs, len(coeffs)).values}
     numerics = binomial_sums_numeric(roots, max(r_values, default=0))
     max_root = max((abs(d) for d in roots.roots), default=0.0)
-    imag_limit = IMAG_SCALE * (1.0 + _saturating_float(sum(abs(x) for x in coeffs)))
     rows = []
     for r in r_values:
         exact = terms[r] if r in terms else binomial_sum(coeffs, r)
         numeric = numerics[r - 1]
         kappa = (1.0 + max_root) ** r
-        flagged = (
-            not roots.reliable
-            or kappa > CONDITION_CAP
-            or abs(numeric.imag) > imag_limit
-        )
         try:
             difference = abs(numeric - float(exact))
         except OverflowError:
-            difference = float("inf")
-            flagged = True
+            difference, flagged = float("inf"), True
+        else:
+            flagged = (
+                not roots.reliable
+                or kappa > CONDITION_CAP
+                or (numeric.imag != 0 and difference >= AGREE_TOL * kappa)
+            )
         rows.append(
             AgreementRow(
                 r=r,

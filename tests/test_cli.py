@@ -251,6 +251,14 @@ class TestDiagnoseCommand:
         proc = run_cli("diagnose", "--classes", "0,0,0")
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("classes", ["11,45,81,54", "5,10,10,5,1,0"])
+    def test_repeated_roots_agree(self, classes):
+        # O(2) + O(3)^3 on CP^4 and O + O(1)^5: S_N holds, and the float
+        # error of a repeated root shows as an imaginary part in B_r
+        proc = run_cli("diagnose", "--classes", classes)
+        assert proc.returncode == 0, proc.stdout
+        assert "DISAGREE" not in proc.stdout
+
     def test_disagreement_fails(self, monkeypatch, capsys):
         # the numeric path pushed half a unit off, with an imaginary part
         compare = cli.compare_exact_numeric

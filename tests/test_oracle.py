@@ -1,6 +1,7 @@
 """Numeric verification path: root finding and agreement with the exact engine."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -14,6 +15,7 @@ from bundle_census import (
     binomial_sum_numeric,
     check_schwarzenberger,
     compare_exact_numeric,
+    elementary_symmetric,
     find_roots,
     from_line_bundles,
 )
@@ -21,7 +23,6 @@ from bundle_census import oracle
 from bundle_census.oracle import (
     AGREE_TOL,
     CONDITION_CAP,
-    IMAG_SCALE,
     RESIDUAL_SCALE,
     binomial_sums_numeric,
 )
@@ -202,15 +203,35 @@ def reference_rows(classes, r_values):
     """(flagged, agrees) per r as compare_exact_numeric decides them, on the reference loop."""
     roots = find_roots(classes)
     max_root = max(abs(d) for d in roots.roots)
-    imag_limit = IMAG_SCALE * (1.0 + sum(abs(x) for x in classes))
     out = []
     for r in r_values:
         numeric = binomial_sum_numeric_reference(roots.roots, r)
         kappa = (1.0 + max_root) ** r
-        flagged = not roots.reliable or kappa > CONDITION_CAP or abs(numeric.imag) > imag_limit
         difference = abs(numeric - float(binomial_sum(classes, r)))
-        out.append((flagged, flagged or difference < AGREE_TOL * kappa))
+        outside = difference >= AGREE_TOL * kappa
+        flagged = not roots.reliable or kappa > CONDITION_CAP or (numeric.imag != 0 and outside)
+        out.append((flagged, flagged or not outside))
     return out
+
+
+def quadratic_power(a, b, m):
+    """(c_1, ..., c_2m) of (y^2 + a y + b)^m."""
+    poly = [1]
+    for _ in range(m):
+        poly = [x + a * y + b * z for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    return tuple(poly[1:])
+
+
+def repeated_root_sample(seed):
+    """Sums of line bundles with repeated degrees, then powers of quadratics."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        distinct = [rng.randint(-20, 20) for _ in range(rng.randint(1, n - 1))]
+        degrees = distinct + [rng.choice(distinct) for _ in range(n - len(distinct))]
+        yield elementary_symmetric(degrees)
+    for _ in range(100):
+        yield quadratic_power(rng.randint(-6, 6), rng.randint(-9, 9), rng.randint(2, 8))
 
 
 class TestAgreement:
@@ -261,15 +282,44 @@ class TestAgreement:
             assert all(row.exact == binomial_sum(coeffs, row.r) for row in rows), coeffs
 
     def test_imaginary_part_small(self):
+        # a bound on the numeric path itself; the verdict has no imaginary-part limit
+        imag_scale = 1e-8
         rng = random.Random(99)
         for _ in range(200):
             n = rng.randint(1, 8)
             coeffs = tuple(rng.randint(-10, 10) for _ in range(n))
             roots = find_roots(coeffs)
-            limit = IMAG_SCALE * (1 + sum(abs(c) for c in coeffs))
+            limit = imag_scale * (1 + sum(abs(c) for c in coeffs))
             for r in range(1, n + 2):
                 value = binomial_sum_numeric(coeffs, r, roots)
                 assert abs(value.imag) < limit, (coeffs, r)
+
+    def test_repeated_roots_never_disagree(self):
+        # a k-fold root comes out only to about eps^(1/k), which leaves B_r
+        # non-real and outside its tolerance: unreliable, never DISAGREE
+        for classes in repeated_root_sample(2024):
+            _, rows = compare_exact_numeric(classes, range(1, len(classes) + 2))
+            assert all(row.agrees for row in rows), (classes, [row for row in rows if not row.agrees])
+
+    @pytest.mark.parametrize("classes, status", [((5, 6, 0), "DISAGREE"), ((2, 1), "unreliable")],
+                             ids=["distinct_roots", "double_root"])
+    def test_exact_fault_at_r2(self, monkeypatch, classes, status):
+        # B_2 one off on the exact side.  Distinct integer roots give a real
+        # B_2, which reads DISAGREE; the double root of (y + 1)^2 gives a
+        # non-real one, so the same fault reads unreliable there: the price
+        # of never reading a float path's own error as a disagreement
+        check = oracle.check_schwarzenberger
+
+        def shifted(coeffs, N):
+            report = check(coeffs, N)
+            values = tuple(t._replace(value=t.value + 1) if t.r == 2 else t for t in report.values)
+            return dataclasses.replace(report, values=values)
+
+        monkeypatch.setattr(oracle, "check_schwarzenberger", shifted)
+        _, (row, *_) = compare_exact_numeric(classes, range(2, len(classes) + 1))
+        assert row.r == 2 and row.difference >= row.tolerance
+        got = "unreliable" if row.flagged else "agree" if row.agrees else "DISAGREE"
+        assert got == status, row
 
     def test_residual_certificate(self):
         rng = random.Random(4)
