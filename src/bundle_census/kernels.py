@@ -1,13 +1,14 @@
 """The exact arithmetic kernels the library calls.
 
 Re-exports the single-tuple kernels of ``_kernels_py`` and adds the batch
-kernel that sweeps run on whole chunks of tuples.  The batch kernel reads
-the largest |c_i| off the batch it is given and runs on int64 columns
-where the overflow certificate holds, on columns of Python ints elsewhere.
-numpy loads on the batch kernel's first call, so the single-tuple kernels
-run without it.  Callers look the functions up as attributes of this module
-(``kernels.schwarz_terms``), so a profiler or test can wrap one in a single
-place.
+kernel that sweeps run on whole chunks of tuples.  The batch kernel runs
+on int64 columns only, and refuses a batch whose largest |c_i| the
+overflow certificate does not admit; a sweep walks such chunks on Python
+ints with the single-tuple kernel (``sweep.classify``).  numpy loads on
+the batch kernel's first call, so the single-tuple kernels run without
+it.  Callers look the functions up as attributes of this module
+(``kernels.schwarz_terms``), so a profiler or test can wrap one in a
+single place.
 """
 
 from __future__ import annotations
@@ -93,18 +94,16 @@ def certificate_bits(order: int, max_abs: int, cap: int) -> int:
 
 
 @cache
-def _weights(order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
-    # stirling[r-2, k-1] = (-1)^(k+1) s(r, k) and factorials[r-2] = r!, 2 <= r <= order,
-    # built as Python ints and cast: both leave int64 from r = 21, past every
-    # order the certificate admits (N <= 19)
-    stirling = np.zeros((max(order - 1, 0), order), dtype=object)
+    # stirling[r-2, k-1] = (-1)^(k+1) s(r, k) and factorials[r-2] = r!, 2 <= r <= order;
+    # both leave int64 from r = 21, past every order the certificate admits (N <= 19)
+    stirling = np.zeros((max(order - 1, 0), order), dtype=np.int64)
     for r in range(2, order + 1):
         stirling[r - 2, :r] = stirling_row(r)[1:]
     stirling[:, 1::2] *= -1
-    factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=object).reshape(-1, 1)
-    stirling, factorials = stirling.astype(dtype), factorials.astype(dtype)
+    factorials = np.array([factorial(r) for r in range(2, order + 1)], dtype=np.int64).reshape(-1, 1)
     stirling.flags.writeable = factorials.flags.writeable = False
     return stirling, factorials
 
@@ -114,14 +113,15 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(num, den)``, each ``(T, N-1)`` with column r-2 holding B_r in
     lowest terms, den >= 1: row for row what ``schwarz_terms`` returns.
-    The batch's largest |c_i| is read once, whatever the input dtype: where
-    it satisfies ``int64_certified`` the column operations run in int64 and
-    no operation is checked afterwards; elsewhere they run exactly on
-    Python ints, at any size.  The returned dtype, int64 or ``object``,
-    says which ran; a C-ordered ``(N, T)`` array's transpose is read with no
-    copy.  Newton's identities run on the roots -d_j of y^N + c_1 y^(N-1)
-    + ... + c_N itself, u_k = k c_k - sum_(i<k) c_i u_(k-i) = (-1)^(k+1) p_k,
-    the sign going into the weights of B_r's numerator sum_k s(r,k) p_k.
+    The batch's largest |c_i| is read once, whatever the input dtype, and
+    must satisfy ``int64_certified``: the column operations then run in
+    int64 and no operation is checked afterwards.  A batch past the
+    certificate raises ValueError, since int64 would wrap on it silently.
+    Both outputs are int64; a C-ordered ``(N, T)`` int64 array's transpose
+    is read with no copy.  Newton's identities run on the roots -d_j of
+    y^N + c_1 y^(N-1) + ... + c_N itself,
+    u_k = k c_k - sum_(i<k) c_i u_(k-i) = (-1)^(k+1) p_k, the sign going
+    into the weights of B_r's numerator sum_k s(r,k) p_k.
     Every term added, k c_k, c_i u_(k-i) or (-1)^(k+1) s(r,k) u_k, thus has
     the absolute value of one that the proof of ``int64_certified`` bounds.
     """
@@ -129,9 +129,11 @@ def schwarz_terms_batch(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     T, order = classes.shape
     max_abs = max(-int(classes.min()), int(classes.max())) if T else 0
-    dtype = np.int64 if int64_certified(order, max_abs) else object
-    c = np.ascontiguousarray(classes.T, dtype=dtype)
-    stirling, factorials = _weights(order, c.dtype)
+    if not int64_certified(order, max_abs):
+        raise ValueError(f"S_{order} on classes up to {max_abs} in absolute value "
+                         "is past the int64 certificate")
+    c = np.ascontiguousarray(classes.T, dtype=np.int64)
+    stirling, factorials = _weights(order)
     # a fixed number of column operations per k, so few tuples of a high order cost little
     u = np.empty_like(c)
     for k in range(1, order + 1):

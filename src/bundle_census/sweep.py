@@ -5,11 +5,13 @@ order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
 a chunk large; a box holds at most 2^62 tuples, so every index is an int64.
-Each range goes through two stages.  ``classify`` decodes it once, one row
-per class (int64 when the box's ends are below 2^62, else Python ints),
-hands its transpose to the batch kernel, which reads the largest |c_i| off
-it and runs in int64 where its overflow certificate holds, else on Python
-ints, and applies the counting rule: verdicts as count codes 0 to 3, no text.
+Each range goes through two stages.  ``classify`` reads the range's
+largest |c_i| off its first and last index.  Where the int64 overflow
+certificate holds, it decodes the range once into int64 numpy rows, one
+per class, and hands their transpose to the batch kernel; elsewhere it
+walks the range on Python ints, with no numpy, along its fastest varying
+class by exact forward differences.  Both apply the counting rule:
+verdicts as count codes 0 to 3, no text.
 ``render`` writes them to bytes, every format alike: one ``%`` over the
 chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
@@ -18,7 +20,9 @@ calling process renders its own share and each worker lane, a bare
 as a ``struct`` header (the data's length, then the chunk's tally)
 followed by the data.  Ranges are always yielded in index order, so
 output is deterministic and independent of the worker count.
-numpy loads before the first worker lane forks, so every lane inherits it.
+A box certified at its largest end loads numpy before the first worker
+lane forks, so every lane inherits it; a sweep with no certified chunk
+never loads it.
 ``write`` writes a whole sweep: header, chunks, and totals from their tallies.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
 """
@@ -26,12 +30,14 @@ numpy loads before the first worker lane forks, so every lane inherits it.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import signal
 import struct
 import sys
 from contextlib import closing
 from dataclasses import dataclass
+from math import factorial, gcd
 from typing import BinaryIO, Iterator, NamedTuple, TextIO
 
 from . import kernels
@@ -198,8 +204,8 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     starts = range(0, total, size)
     lanes = min(spec.jobs, len(starts))
     workers = []
-    if lanes > 1:
-        import numpy  # noqa: F401  loaded before the first fork, so every worker lane inherits it
+    if lanes > 1 and _certified(counting_rule(spec.rank, spec.dim), spec.max_abs()):
+        import numpy  # noqa: F401  every chunk computes with it: each worker lane inherits it
     try:
         for lane in range(1, lanes):
             workers.append(_Lane(_lane_main, spec, fmt, starts[lane::lanes], size))
@@ -330,20 +336,64 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
 
     ``start`` and ``stop`` may run past the box's end and are clipped to
     it, so a range that begins there, or ends before it begins, is an
-    empty chunk.  The range is decoded once, class-major, into an
-    ``(order, T)`` array whose row j holds class j + 1 of every tuple, rows
-    past the stored classes zero: int64 when every end of the box is below
-    2^62, else Python ints.  The batch kernel reads its transpose with no
-    copy and picks its own arithmetic from the decoded classes.
+    empty chunk.  The range's largest |c_i|, read off its first and last
+    index, picks its arithmetic: where ``_certified`` admits it, the range
+    runs on int64 numpy columns and the batch kernel (``_batch``), else on
+    Python ints with no numpy (``_walk``).
+    """
+    rule = counting_rule(spec.rank, spec.dim)
+    stop = min(stop, spec.tuple_count())
+    start = min(start, stop)
+    path = _batch if _certified(rule, _range_max_abs(spec.bounds, start, stop)) else _walk
+    return path(spec, rule, start, stop)
+
+
+def _certified(rule, max_abs: int) -> bool:
+    """Whether tuples with every |c_i| <= ``max_abs`` run on int64.
+
+    With a condition to test, when ``kernels.int64_certified`` admits it;
+    with none, when every class fits the int64 decode.
+    """
+    if rule.order is None:
+        return max_abs < kernels.INT64_LIMIT
+    return kernels.int64_certified(rule.order, max_abs)
+
+
+def _range_max_abs(bounds, start: int, stop: int) -> int:
+    """The largest |c_i| over the tuples with index in [start, stop), 0 if there are none.
+
+    Class i's digit is (index // stride) mod radix, and over the range the
+    quotient runs through consecutive integers: the digits cover the whole
+    interval, or the stretch from the first index's digit to the last's,
+    wrapping past the interval's end.  |c_i| peaks at an end of a stretch.
+    """
+    if stop <= start:
+        return 0
+    ends, stride = [], 1
+    for lo, hi in reversed(bounds):
+        radix = hi - lo + 1
+        first, last = start // stride, (stop - 1) // stride
+        ends += (lo + first % radix, lo + last % radix)
+        if last - first >= radix - 1 or first % radix > last % radix:
+            ends += (lo, hi)
+        stride *= radix
+    return max(map(abs, ends))
+
+
+def _batch(spec: SweepSpec, rule, start: int, stop: int) -> Verdicts:
+    """Verdicts on a certified range, on int64 columns and the batch kernel.
+
+    The range is decoded once, class-major, into an ``(order, T)`` int64
+    array whose row j holds class j + 1 of every tuple, rows past the
+    stored classes zero.  Every class of the range is below 2^62, and every
+    interval is at most 2^62 wide, so each interval's low end fits int64
+    too.  The batch kernel reads the array's transpose with no copy.
     """
     import numpy as np
 
-    bounds, rule = spec.bounds, counting_rule(spec.rank, spec.dim)
-    stop = min(stop, spec.tuple_count())
-    start = min(start, stop)
+    bounds = spec.bounds
     index = np.arange(start, stop, dtype=np.int64)  # a box holds at most 2^62 tuples
-    dtype = np.int64 if spec.max_abs() < kernels.INT64_LIMIT else object
-    classes = np.zeros((rule.order or len(bounds), len(index)), dtype=dtype)
+    classes = np.zeros((rule.order or len(bounds), len(index)), dtype=np.int64)
     for j in range(len(bounds) - 1, -1, -1):
         lo, hi = bounds[j]
         np.divmod(index, hi - lo + 1, out=(index, classes[j]))
@@ -360,6 +410,87 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     tally = tuple(np.bincount(counts, minlength=UNKNOWN + 1).tolist())
     columns = classes[: len(bounds)].tolist()
     return Verdicts(columns, counts.tolist(), failing.tolist(), terms, tally)
+
+
+def _walk(spec: SweepSpec, rule, start: int, stop: int) -> Verdicts:
+    """Verdicts on a range past the certificate, on Python ints, with no numpy.
+
+    The range is cut into runs along the fastest varying class c_j, the
+    last with more than one value: within a run only c_j moves, by one per
+    tuple.  The unreduced A_r = r! B_r = sum_k s(r,k) p_k is a polynomial
+    in c_j of degree at most r // j, since each term of p_k is a product
+    of classes whose indices add up to k.  So A_r at the first r // j + 1
+    points of a run, from the single-tuple ``kernels.schwarz_terms``, gives
+    it at every other point by exact forward differences; on a run no
+    longer than that, every point comes from the kernel.  Each r's column
+    is then reduced by r!, with a gcd only where A_r mod r! is not zero.
+    """
+    bounds, order = spec.bounds, rule.order
+    radices = [hi - lo + 1 for lo, hi in bounds]
+    j = max((i for i, radix in enumerate(radices) if radix > 1), default=len(bounds) - 1)
+    digits, index = [], start
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    digits.reverse()
+    columns = [[] for _ in bounds]
+    orders = range(2, (order or 1) + 1)
+    values = [[] for _ in orders]  # A_r of every tuple, one list per r
+    factorials = [factorial(r) for r in orders]
+    degrees = [r // (j + 1) for r in orders]
+    pad = (0,) * ((order or 0) - len(bounds))
+    left = stop - start
+    while left:
+        head = [lo + digit for (lo, _), digit in zip(bounds, digits)]
+        run = min(radices[j] - digits[j], left)
+        for i, column in enumerate(columns):
+            column += range(head[i], head[i] + run) if i == j else [head[i]] * run
+        if values:
+            points = [kernels.schwarz_terms((*head[:j], head[j] + k, *head[j + 1:], *pad), order)
+                      for k in range(min(run, degrees[-1] + 1))]
+            for column, f, degree, terms in zip(values, factorials, degrees, zip(*points)):
+                ys = [num * (f // den) for _, num, den in terms]
+                column += ys if run <= degree + 1 else _extend(ys[:degree + 1], run)
+        left -= run
+        digits[j] += run - 1  # the run's last tuple, whose successor opens the next run
+        for i in range(j, -1, -1):
+            digits[i] = (digits[i] + 1) % radices[i]
+            if digits[i]:
+                break
+    failing, cells = [0] * (stop - start), []
+    for r, f, column in zip(orders, factorials, values):
+        rests = [a % f for a in column]
+        fails = list(map(bool, rests))
+        gcds = list(map(gcd, filter(None, rests), itertools.repeat(f)))
+        bad = itertools.compress(column, fails)
+        table = [None, *zip(itertools.repeat(r), map(operator.floordiv, bad, gcds),
+                            map(operator.floordiv, itertools.repeat(f), gcds))]
+        # per tuple, its B_r as (r, num, den) if it fails, else None: the number of
+        # failing tuples up to it, zeroed where it passes, indexes the table
+        cells.append(map(table.__getitem__, map(operator.mul, itertools.accumulate(fails), fails)))
+        failing = list(map(operator.add, failing, fails))
+    # each tuple's failing B_r in r order
+    terms = list(itertools.chain.from_iterable(filter(None, itertools.chain.from_iterable(zip(*cells)))))
+    counts = list(map(rule.count, map(operator.not_, failing), columns[0]))
+    tally = tuple(map(counts.count, range(UNKNOWN + 1)))
+    return Verdicts(columns, counts, failing, terms, tally)
+
+
+def _extend(ys: list, n: int) -> Iterator[int]:
+    """Values at 0, ..., n - 1 of the polynomial of degree len(ys) - 1 whose first values are ``ys``.
+
+    Forward differences: the top one is constant, and each lower one is
+    accumulated from the one above, starting from its value at 0.
+    """
+    diffs = list(ys)  # diffs[k] becomes the k-th forward difference at 0
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    *lower, top = diffs
+    values = itertools.repeat(top, n - len(lower))  # each accumulation adds one value
+    for first in reversed(lower):
+        values = itertools.accumulate(values, initial=first)
+    return values
 
 
 # per format: a failing B_r's template, led by its one-character separator;

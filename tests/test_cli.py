@@ -298,8 +298,14 @@ def probe_startup(argv, patch="", env=None):
     return proc.stderr.splitlines()
 
 
+# 861 tuples near 10^25, 3 chunks, all past the int64 certificate
+BIG_BOUNDS = ("--bounds=10000000000000000000000000:10000000000000000000000040,"
+              "-20000000000000000000000000:-19999999999999999999999980,"
+              "1428571428571428571428571:1428571428571428571428571")
+
+
 class TestStartUp:
-    """numpy loads only on the sweep, which computes with it; multiprocessing never loads."""
+    """numpy loads only on a sweep with a certified chunk, which computes with it; multiprocessing never loads."""
 
     @pytest.mark.parametrize("argv, loaded", [
         (["--version"], [False, False]),
@@ -307,7 +313,11 @@ class TestStartUp:
         (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], [False, False]),
         (["diagnose", "--classes", "5,6,0"], [False, False]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"], [True, False]),
-    ], ids=["version", "check", "count", "diagnose", "sweep_one_job"])
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds=-150:150,-150:150", "--jobs", "2"], [True, False]),
+        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "1"], [False, False]),
+        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "2"], [False, False]),
+    ], ids=["version", "check", "count", "diagnose", "sweep_one_job", "sweep_rank2_150_two_jobs",
+            "sweep_python_ints_one_job", "sweep_python_ints_two_jobs"])
     def test_modules_loaded(self, argv, loaded):
         assert json.loads(probe_startup(argv)[-1]) == loaded
 

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundle_census import _kernels_py as kpy
-from bundle_census import kernels, stirling_first
+from bundle_census import kernels, stirling_first, sweep
 from bundle_census.sweep import SweepSpec, render_chunk
+from conftest import spy_on_paths
 from oracles import (
     binom_sum_brute,
     elem_sym_brute,
@@ -184,16 +185,39 @@ def certified_edge(order):
 ORDERS = range(2, 20)
 
 
-def assert_batch_matches_reference(rows, dtype=np.int64, runs_on=np.int64):
-    """The batch kernel on ``rows`` as ``dtype`` ran on ``runs_on`` and agrees with kpy."""
+def assert_batch_matches_reference(rows, dtype=np.int64):
+    """The batch kernel on ``rows`` as ``dtype`` ran on int64 and agrees with kpy."""
     classes = np.array(rows, dtype=dtype)
     num, den = kernels.schwarz_terms_batch(classes)
     order = classes.shape[1]
     assert num.shape == den.shape == (len(rows), order - 1)
-    assert num.dtype == den.dtype == runs_on
+    assert num.dtype == den.dtype == np.int64
     for row, nums, dens in zip(rows, num.tolist(), den.tolist()):
         got = [(r, n, d) for r, n, d in zip(range(2, order + 1), nums, dens)]
         assert got == kpy.schwarz_terms(tuple(row), order), row
+
+
+def assert_sweep_matches(rows, reference, length=4):
+    """Each row, and the ``length - 1`` rows after it along its last class, on the sweep's verdict path.
+
+    Row (c_1, ..., c_N) opens a one-chunk box of S_N in the stable range
+    whose last class takes ``length`` values.  The chunk takes the int64
+    batch kernel where the certificate admits the box, else the walk, and
+    every tuple's failing B_r are those of ``reference(classes, N)``.
+    """
+    for row in rows:
+        order = len(row)
+        bounds = tuple((c, c) for c in row[:-1]) + ((row[-1], row[-1] + length - 1),)
+        spec = SweepSpec(order, order, bounds)
+        with pytest.MonkeyPatch.context() as patch:
+            paths = spy_on_paths(patch)
+            _, _, failing, terms, _ = sweep.classify(spec, 0, length)
+        extent = spec.max_abs()
+        certified = kernels.int64_certified(order, extent) if order > 1 else extent < kernels.INT64_LIMIT
+        assert paths == ["int64" if certified else "walk"], row
+        want = [t for k in range(length) for t in reference((*row[:-1], row[-1] + k), order) if t[2] != 1]
+        assert list(zip(terms[::3], terms[1::3], terms[2::3])) == want, row
+        assert sum(failing) == len(want)
 
 
 class TestBatchKernel:
@@ -228,32 +252,42 @@ class TestBatchKernel:
         assert_batch_matches_reference(rows)
 
     def test_uncertified_int64_batch_runs_on_python_ints(self):
+        # the batch kernel refuses what int64 would wrap on; the sweep walks it on Python ints
         for order in (2, 3, 7):
             m = certified_edge(order)
             assert_batch_matches_reference([[m] * order, [-m] * order])
             for bad in (m + 1, -(m + 1)):
-                assert_batch_matches_reference([[0] * (order - 1) + [bad], [m] * order],
-                                               runs_on=object)
-        assert_batch_matches_reference([[0] * 20], runs_on=object)
+                rows = [[0] * (order - 1) + [bad], [m] * order]
+                for dtype in (np.int64, object):
+                    with pytest.raises(ValueError, match="past the int64 certificate"):
+                        kernels.schwarz_terms_batch(np.array(rows, dtype=dtype))
+                first = bad - 3 if bad > 0 else bad  # the box's last class takes 4 values, bad among them
+                assert_sweep_matches([[0] * (order - 1) + [first]], kpy.schwarz_terms)
+        with pytest.raises(ValueError, match=r"S_20 on classes up to 0 "):
+            kernels.schwarz_terms_batch(np.zeros((1, 20), dtype=np.int64))
+        assert_sweep_matches([[0] * 20], kpy.schwarz_terms)
 
     def test_empty_batch(self):
-        for order in (1, 4, 25):
-            runs_on = np.int64 if kernels.int64_certified(order, 0) else object
+        for order in (1, 4):
             for dtype in (np.int64, object):
                 num, den = kernels.schwarz_terms_batch(np.zeros((0, order), dtype=dtype))
                 assert num.shape == den.shape == (0, order - 1)
-                assert num.dtype == den.dtype == runs_on
+                assert num.dtype == den.dtype == np.int64
+        # past N = 19 the certificate fails even on zeros, so the batch refuses S_25 outright
+        with pytest.raises(ValueError, match="past the int64 certificate"):
+            kernels.schwarz_terms_batch(np.zeros((0, 25), dtype=np.int64))
 
     @pytest.mark.parametrize("order", range(1, 31))
     def test_object_rows_match_reference(self, order):
-        # from N = 21 the Stirling weights and N! leave int64 too
+        # from N = 21 the Stirling weights and N! leave int64 too; rows of
+        # small classes up to N = 19 take the int64 batch, every other walks
         huge = 10**40
         rows = [[0] * order, [huge] * order, [-huge] * order,
                 [huge if k % 2 else -huge for k in range(order)],
                 [huge - k for k in range(order)],
                 [1] + [0] * (order - 1), [0] * (order - 1) + [-huge],
                 [(k % 5 - 2) * 7 for k in range(order)]]
-        assert_batch_matches_reference(rows, dtype=object, runs_on=object)
+        assert_sweep_matches(rows, kpy.schwarz_terms)
 
     @given(data=st.data(), order=st.integers(1, 30), count=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -261,8 +295,9 @@ class TestBatchKernel:
         rows = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=order, max_size=order),
                                   min_size=count, max_size=count))
         extent = max(abs(c) for row in rows for c in row)
-        runs_on = np.int64 if kernels.int64_certified(order, extent) else object
-        assert_batch_matches_reference(rows, dtype=object, runs_on=runs_on)
+        if kernels.int64_certified(order, extent):  # an object array of certified classes runs on int64
+            assert_batch_matches_reference(rows, dtype=object)
+        assert_sweep_matches(rows, kpy.schwarz_terms)
 
 
 @given(order=st.integers(1, 40), max_abs=st.integers(0, 10**30), cap=st.integers(0, 200))
@@ -291,11 +326,11 @@ class TestCompanionReference:
         assume(non_integral(want))
         assert kpy.schwarz_terms(tuple(classes), len(classes)) == want
 
-    def assert_batch_matches_route(self, rows, runs_on):
+    def assert_batch_matches_route(self, rows):
         wants = [schwarz_terms_companion(row, len(row)) for row in rows]
         assume(any(map(non_integral, wants)))
-        num, den = kernels.schwarz_terms_batch(np.array(rows, dtype=runs_on))
-        assert num.dtype == den.dtype == runs_on
+        num, den = kernels.schwarz_terms_batch(np.array(rows, dtype=np.int64))
+        assert num.dtype == den.dtype == np.int64
         for want, nums, dens in zip(wants, num.tolist(), den.tolist()):
             assert list(zip(range(2, len(nums) + 2), nums, dens)) == want
 
@@ -307,55 +342,48 @@ class TestCompanionReference:
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
                                   min_size=count, max_size=count))
         assume(any(abs(c) == m for row in rows for c in row))
-        self.assert_batch_matches_route(rows, np.int64)
+        self.assert_batch_matches_route(rows)
 
     @given(data=st.data(), order=st.integers(3, 12), count=st.integers(1, 6))
     @settings(max_examples=60)
     def test_batch_on_python_ints_past_2_62(self, data, order, count):
+        # past 2^62 the batch kernel refuses; the sweep walks each row and the two after it
         big = st.integers(2**62, 10**30)
         entry = st.one_of(big, big.map(operator.neg), st.integers(-50, 50))
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
                                   min_size=count, max_size=count))
         assume(any(abs(c) >= 2**62 for row in rows for c in row))
-        self.assert_batch_matches_route(rows, object)
+        assume(any(non_integral(schwarz_terms_companion(row, order)) for row in rows))
+        with pytest.raises(ValueError, match="past the int64 certificate"):
+            kernels.schwarz_terms_batch(np.array(rows, dtype=object))
+        assert_sweep_matches(rows, schwarz_terms_companion, length=3)
 
 
 class TestChunkPath:
-    """The certificate decides, chunk by chunk, the dtype the batch kernel runs on."""
-
-    @pytest.fixture
-    def dtypes(self, monkeypatch):
-        seen = []
-        batch = kernels.schwarz_terms_batch
-
-        def spy(classes):
-            num, den = batch(classes)
-            seen.append((num.dtype, len(num)))
-            return num, den
-
-        monkeypatch.setattr(kernels, "schwarz_terms_batch", spy)
-        # the sweep makes no single-tuple kernel call on either dtype
-        monkeypatch.setattr(kernels, "schwarz_terms", None)
-        return seen
+    """The certificate decides, chunk by chunk, between the int64 batch kernel and the walk."""
 
     def chunk(self, c1_lo, c1_hi):
         # rank 2 on CP^3 tests S_3 on (c1, c2, 0)
         spec = SweepSpec(2, 3, ((c1_lo, c1_hi), (-2, 2)))
         return render_chunk(spec, "json", 0, spec.tuple_count())
 
-    def test_just_below_runs_int64(self, dtypes):
+    def test_just_below_runs_int64(self, monkeypatch):
+        paths = spy_on_paths(monkeypatch)
+        monkeypatch.setattr(kernels, "schwarz_terms", None)  # the int64 path makes no single-tuple call
         m = certified_edge(3)
-        self.chunk(m - 3, m)
-        assert dtypes == [(np.int64, 20)]
+        assert sum(self.chunk(m - 3, m).tally) == 20
+        assert paths == ["int64"]
 
-    def test_just_above_runs_bignum(self, dtypes):
+    def test_just_above_runs_bignum(self, monkeypatch):
+        paths = spy_on_paths(monkeypatch)
+        monkeypatch.setattr(kernels, "schwarz_terms_batch", None)  # the walk makes no batch call
         m = certified_edge(3)
-        self.chunk(m - 3, m + 1)  # one class past the edge sends all 25 tuples
-        assert dtypes == [(object, 25)]
-        self.chunk(-m - 1, -m)
-        assert dtypes == [(object, 25), (object, 10)]
+        assert sum(self.chunk(m - 3, m + 1).tally) == 25  # one class past the edge walks all 25 tuples
+        assert sum(self.chunk(-m - 1, -m).tally) == 10
+        assert paths == ["walk", "walk"]
 
-    def test_certificate_function_decides(self, dtypes, monkeypatch):
+    def test_certificate_function_decides(self, monkeypatch):
+        paths = spy_on_paths(monkeypatch)
         m = certified_edge(3)
         below = self.chunk(m - 3, m)
         asked = []
@@ -367,4 +395,4 @@ class TestChunkPath:
         monkeypatch.setattr(kernels, "int64_certified", refuse)
         assert self.chunk(m - 3, m) == below
         assert asked == [(3, m)]
-        assert dtypes == [(np.int64, 20), (object, 20)]
+        assert paths == ["int64", "walk"]

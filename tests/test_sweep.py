@@ -23,7 +23,6 @@ import sys
 import termios
 import time
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +31,7 @@ from bundle_census import cli, kernels, sweep
 from bundle_census.chern import ChernVector
 from bundle_census.enumeration import UNKNOWN, count_bundles, counting_rule
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
-from conftest import child_env
+from conftest import child_env, spy_on_paths
 from oracles import schwarz_terms_companion
 
 
@@ -153,31 +152,17 @@ def test_verdicts_match_count_bundles(box, chunk, monkeypatch):
     assert [g[2] for g in got] == [w[2] for w in want]
 
 
-def spy_on_kernel(patch):
-    """Wrap the batch kernel to record the dtype of each call's output, the one it ran on."""
-    dtypes = []
-    batch = kernels.schwarz_terms_batch
-
-    def spy(classes):
-        num, den = batch(classes)
-        dtypes.append(num.dtype)
-        return num, den
-
-    patch.setattr(kernels, "schwarz_terms_batch", spy)
-    return dtypes
-
-
 def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
     monkeypatch.setattr(sweep, "CHUNK", 256)
-    dtypes = spy_on_kernel(monkeypatch)
+    paths = spy_on_paths(monkeypatch)
     for box in ("straddles_certificate", "straddles_negative"):
         rank, dim, bounds = BOXES[box]
         spec = SweepSpec(rank, dim, bounds)
         assert spec.tuple_count() > 2 * sweep.CHUNK
-        dtypes.clear()
+        paths.clear()
         swept(spec, "json")
-        assert len(dtypes) == -(-spec.tuple_count() // sweep.CHUNK), box
-        assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}, box
+        assert len(paths) == -(-spec.tuple_count() // sweep.CHUNK), box
+        assert set(paths) == {"int64", "walk"}, box
 
 
 # rank 6 on CP^7: B_r is not an integer for any r in 3..7.  B_2 = C(c_1, 2) - c_2
@@ -186,14 +171,15 @@ FAILS_EVERY_R = (-3, -3, -2, -3, 0, 0)
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-@pytest.mark.parametrize("dtype", [np.int64, object])
-def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, dtype, monkeypatch):
-    if dtype is object:
+# ids as the suite has always reported them: the walk runs on Python ints, "object"
+@pytest.mark.parametrize("path", ["int64", "walk"], ids=["int64", "object"])
+def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, path, monkeypatch):
+    if path == "walk":
         monkeypatch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
-    dtypes = spy_on_kernel(monkeypatch)
+    paths = spy_on_paths(monkeypatch)
     spec = SweepSpec(6, 7, tuple((c, c) for c in FAILS_EVERY_R))
     got = sweep.render_chunk(spec, fmt, 0, 1).data.decode()
-    assert dtypes == [np.dtype(dtype)]
+    assert paths == [path]
     terms = [(r, f"{n}/{d}") for r, n, d in kernels.schwarz_terms(FAILS_EVERY_R + (0,), 7)
              if d != 1]
     assert [r for r, _ in terms] == [3, 4, 5, 6, 7]
@@ -222,14 +208,36 @@ def test_every_row_fails_every_r_or_none():
 
 @st.composite
 def small_boxes(draw):
-    """Rank 1 to 6 on CP^1 to CP^(rank+2), every counting regime, some classes past 2^53."""
+    """Rank 1 to 6 on CP^1 to CP^(rank+2), every counting regime, some classes past 2^53.
+
+    The fastest varying class, the last with more than one value, may be any
+    stored class: when it is c_1 or c_2 it takes up to 12 values, so that the
+    walk's runs reach past their degree (r // j for c_j) and past a chunk.
+    """
     rank = draw(st.integers(1, 6))
     dim = draw(st.integers(1, rank + 2))
+    n = min(rank, dim)
+    fastest = draw(st.integers(0, n - 1))
     bounds = []
-    for width in ((4, 2) + (1,) * 4)[:min(rank, dim)]:
+    for i, width in enumerate(((4, 2) + (1,) * 4)[:n]):
+        if i > fastest:
+            width = 0
+        elif i == fastest and i < 2:
+            width = 11
         lo = draw(st.sampled_from([0, 0, 0, BIG, -BIG - 2])) + draw(st.integers(-4, 4))
         bounds.append((lo, lo + draw(st.integers(0, width))))
     return rank, dim, tuple(bounds)
+
+
+# c_2 varies fastest over 10 values: A_2, A_3 are linear in it along a run,
+# and CHUNK = 7 cuts the runs part way
+CUT_RUNS_BOX = (2, 3, ((BIG - 1, BIG + 1), (-4, 5)))
+# c_1 varies fastest over 3 values, fewer than the 6 points that give A_5 (degree 5)
+SHORT_RUN_BOX = (4, 5, ((BIG - 1, BIG + 1), (1, 1), (0, 0), (2, 2)))
+# c_1 varies fastest over 12 values, where A_r has degree r up to 4; and c_2
+# over 9 values, where A_4 and A_5 have degree 2
+DEGREE_4_BOX = (3, 4, ((-BIG - 6, -BIG + 5), (3, 3), (-1, -1)))
+DEGREE_2_BOX = (4, 5, ((2, 3), (BIG, BIG + 8), (0, 0), (-1, -1)))
 
 
 @given(box=st.one_of(st.just(FAILS_EVERY_R_BOX), st.just(PASSES_EVERY_R_BOX), small_boxes()),
@@ -239,10 +247,18 @@ def small_boxes(draw):
 @example(box=FAILS_EVERY_R_BOX, fmt="table", chunk=1, int64=True)
 @example(box=PASSES_EVERY_R_BOX, fmt="json", chunk=7, int64=False)
 @example(box=PASSES_EVERY_R_BOX, fmt="csv", chunk=None, int64=True)
+@example(box=CUT_RUNS_BOX, fmt="csv", chunk=1, int64=True)
+@example(box=CUT_RUNS_BOX, fmt="json", chunk=7, int64=True)
+@example(box=SHORT_RUN_BOX, fmt="csv", chunk=None, int64=True)
+@example(box=SHORT_RUN_BOX, fmt="table", chunk=7, int64=False)
+@example(box=DEGREE_4_BOX, fmt="json", chunk=None, int64=True)
+@example(box=DEGREE_4_BOX, fmt="csv", chunk=7, int64=True)
+@example(box=DEGREE_2_BOX, fmt="csv", chunk=None, int64=False)
+@example(box=DEGREE_2_BOX, fmt="table", chunk=7, int64=True)
 @settings(max_examples=120, deadline=None)
 def test_random_boxes_match_reference(box, fmt, chunk, int64):
     # chunk None keeps CHUNK, so the computed size applies; int64 False
-    # refuses the certificate, so every chunk runs on Python ints
+    # refuses the certificate, so every chunk that tests a condition walks
     rank, dim, bounds = box
     spec = SweepSpec(rank, dim, bounds)
     with pytest.MonkeyPatch.context() as patch:
@@ -251,12 +267,12 @@ def test_random_boxes_match_reference(box, fmt, chunk, int64):
         if not int64:
             patch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
         size = sweep.chunk_tuples(spec)
-        dtypes = spy_on_kernel(patch)
+        paths = spy_on_paths(patch)
         got = swept(spec, fmt)
     assert got == reference_records(rank, dim, bounds, fmt)
+    assert len(paths) == -(-spec.tuple_count() // size)
     if counting_rule(rank, dim).order is not None:
-        assert len(dtypes) == -(-spec.tuple_count() // size)
-        assert int64 or set(dtypes) == {np.dtype(object)}
+        assert int64 or set(paths) == {"walk"}
 
 
 def test_chunk_size_follows_the_certificate():
@@ -324,24 +340,24 @@ def decode(index, bounds):
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-@pytest.mark.parametrize("bounds, kernel_dtypes", [
-    # an end past int64: decoded on Python ints
-    (((2**63, 2**63 + 4), (-5, 5)), (object, object)),
-    # the widest interval a box admits, its radix 2^62, decoded in int64:
-    # its small classes at the start run the int64 kernel
-    (((0, 0), (-5, 2**62 - 6)), (np.int64, object)),
-])
-def test_ranges_at_the_int64_decoding_limit(bounds, kernel_dtypes, fmt, monkeypatch):
+@pytest.mark.parametrize("bounds, kernel_paths", [
+    # an end past int64: walked on Python ints
+    (((2**63, 2**63 + 4), (-5, 5)), ("walk", "walk")),
+    # the widest interval a box admits, its radix 2^62: its small classes at
+    # the start are decoded in int64 for the batch kernel, its last walked
+    (((0, 0), (-5, 2**62 - 6)), ("int64", "walk")),
+], ids=["bounds0-kernel_dtypes0", "bounds1-kernel_dtypes1"])  # as the suite has always reported them
+def test_ranges_at_the_int64_decoding_limit(bounds, kernel_paths, fmt, monkeypatch):
     spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
     assert total <= kernels.INT64_LIMIT
-    dtypes = spy_on_kernel(monkeypatch)
-    for (start, stop), dtype in zip(((0, 40), (total - 30, total)), kernel_dtypes):
+    paths = spy_on_paths(monkeypatch)
+    for (start, stop), path in zip(((0, 40), (total - 30, total)), kernel_paths):
         tuples = [decode(i, bounds) for i in range(start, stop)]
         pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
-        dtypes.clear()
+        paths.clear()
         got = sweep.render_chunk(spec, fmt, start, stop)
-        assert dtypes == [np.dtype(dtype)]
+        assert paths == [path]
         assert got.data == render_reference(pairs, 2, fmt)
         assert got.tally == tally([result.count for _, result in pairs])
     assert tuples[-1] == tuple(hi for lo, hi in bounds)
@@ -654,15 +670,30 @@ def test_sweep_extension_agrees_with_count(capsysbinary):
 )
 @settings(max_examples=200, deadline=None)
 def test_kernel_dtype_follows_the_certificate_on_the_range(bounds, data):
-    # the largest |c_i| of the decoded range alone picks the kernel's dtype
+    # the largest |c_i| of the range alone picks its path: the int64 batch kernel or the walk
     bounds = tuple((centre + offset, centre + offset + width) for centre, offset, width in bounds)
     tuples = list(iter_box(bounds))
     start = data.draw(st.integers(0, len(tuples) - 1))
     stop = data.draw(st.integers(start + 1, len(tuples)))
     with pytest.MonkeyPatch.context() as patch:
-        dtypes = spy_on_kernel(patch)
+        paths = spy_on_paths(patch)
         got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
     extent = max(abs(c) for t in tuples[start:stop] for c in t)
-    assert dtypes == [np.dtype(np.int64 if kernels.int64_certified(3, extent) else object)]
+    assert paths == ["int64" if kernels.int64_certified(3, extent) else "walk"]
     pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples[start:stop]]
     assert got.data == render_reference(pairs, 2, "json")
+
+
+@given(bounds=st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 6)), min_size=1, max_size=3),
+       start=st.integers(0, 350), length=st.integers(0, 20))
+# ranges that wrap past the end of the last class's interval and of the middle
+# class's, whose largest |c_i| is an end of that interval and of neither index
+@example(bounds=[(27, 5), (28, 3), (29, 5)], start=57, length=4)
+@example(bounds=[(-2, 2), (2, 6), (4, 0)], start=5, length=5)
+@settings(max_examples=300, deadline=None)
+def test_range_extent_is_read_off_its_ends(bounds, start, length):
+    # the largest |c_i| that picks a range's path, against the decoded tuples
+    bounds = tuple((lo, lo + width) for lo, width in bounds)
+    tuples = list(iter_box(bounds))
+    want = max((abs(c) for t in tuples[start:start + length] for c in t), default=0)
+    assert sweep._range_max_abs(bounds, start, min(start + length, len(tuples))) == want
