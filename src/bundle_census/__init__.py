@@ -9,50 +9,42 @@ coefficients of the Chern roots); a floating-point root-finding oracle
 cross-checks the exact path.
 """
 
-from .chern import (
-    ChernVector,
-    dual,
-    elementary_symmetric,
-    from_line_bundles,
-    twist_by_line,
-)
-from .enumeration import (
-    CORANK_ONE,
-    LINE_BUNDLE,
-    STABLE_RANGE,
-    UNSUPPORTED,
-    BundleCount,
-    SchwarzenbergerReport,
-    binomial_sum,
-    check_schwarzenberger,
-    count_bundles,
-    exists_rank_n_on_cp_n_plus_1,
-)
-from .kernels import backend_name, stirling_first
-from .oracle import NumericRoots, binomial_sum_numeric, compare_exact_numeric, find_roots
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleCount",
-    "ChernVector",
-    "NumericRoots",
-    "SchwarzenbergerReport",
-    "backend_name",
-    "binomial_sum",
-    "binomial_sum_numeric",
-    "check_schwarzenberger",
-    "compare_exact_numeric",
-    "count_bundles",
-    "dual",
-    "elementary_symmetric",
-    "exists_rank_n_on_cp_n_plus_1",
-    "find_roots",
-    "from_line_bundles",
-    "stirling_first",
-    "twist_by_line",
-    "CORANK_ONE",
-    "LINE_BUNDLE",
-    "STABLE_RANGE",
-    "UNSUPPORTED",
-]
+# every exported name and the module it lives in: importing the package loads
+# none of them, so each command imports only the modules it runs (PEP 562)
+_HOMES = {
+    "BundleCount": "enumeration",
+    "ChernVector": "chern",
+    "NumericRoots": "oracle",
+    "SchwarzenbergerReport": "enumeration",
+    "backend_name": "kernels",
+    "binomial_sum": "enumeration",
+    "binomial_sum_numeric": "oracle",
+    "check_schwarzenberger": "enumeration",
+    "compare_exact_numeric": "oracle",
+    "count_bundles": "enumeration",
+    "dual": "chern",
+    "elementary_symmetric": "chern",
+    "exists_rank_n_on_cp_n_plus_1": "enumeration",
+    "find_roots": "oracle",
+    "from_line_bundles": "chern",
+    "stirling_first": "kernels",
+    "twist_by_line": "chern",
+    "CORANK_ONE": "counting",
+    "LINE_BUNDLE": "counting",
+    "STABLE_RANGE": "counting",
+    "UNSUPPORTED": "counting",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -2,6 +2,10 @@
 
 Machine-readable output goes to stdout, diagnostics to stderr; ``sweep``
 parses and admits its box and leaves all its output to ``sweep.write``.
+Each command imports only the modules it runs: ``check`` and ``count``
+import the single-tuple API (``chern``, ``enumeration``) in their handlers,
+``diagnose`` the floating-point ``oracle`` too, and ``sweep`` and
+``--version`` neither.
 Exit codes: 0 success / condition satisfied, 1 condition failed,
 exact-numeric disagreement or a sweep worker lane that died before its last
 chunk (one ``error:`` line, no traceback), 2 usage error, including a
@@ -23,9 +27,7 @@ from contextlib import suppress
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__, kernels, sweep
-from .chern import ChernVector
-from .enumeration import check_schwarzenberger, count_bundles, counting_rule
-from .oracle import compare_exact_numeric
+from .counting import counting_rule
 from .sweep import DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, parse_bounds
 from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
@@ -146,6 +148,8 @@ def _condition_input(args) -> tuple[tuple[int, ...], int]:
 
 
 def cmd_check(args) -> int:
+    from .enumeration import check_schwarzenberger
+
     classes, N = _condition_input(args)
     report = check_schwarzenberger(classes, N)
     # the verdict is the exit code, even when stdout's reader has gone
@@ -159,6 +163,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .chern import ChernVector
+    from .enumeration import count_bundles
+
     try:
         vector = ChernVector(args.rank, args.dim, parse_classes(args.classes))
     except ValueError as exc:
@@ -190,6 +197,13 @@ def cmd_sweep(args) -> int:
     _admit(counting_rule(spec.rank, spec.dim).order, [spec.max_abs()])
     sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
     return 0
+
+
+def compare_exact_numeric(classes, orders):
+    """``oracle.compare_exact_numeric``, importing the oracle on the first call."""
+    from .oracle import compare_exact_numeric as compare
+
+    return compare(classes, orders)
 
 
 def cmd_diagnose(args) -> int:

@@ -24,7 +24,9 @@ A box certified at its largest end loads numpy before the first worker
 lane forks, so every lane inherits it; a sweep with no certified chunk
 never loads it.
 ``write`` writes a whole sweep: header, chunks, and totals from their tallies.
-``evaluate_classes`` and ``run_sweep`` are the single-tuple path.
+``evaluate_classes`` and ``run_sweep`` are the single-tuple path: only they
+load ``chern`` and ``enumeration``, on first use, so the bulk path runs
+without the dataclasses and Fractions of the single-tuple API.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-import signal
 import struct
 import sys
 from contextlib import closing
-from dataclasses import dataclass
 from math import factorial, gcd
-from typing import BinaryIO, Iterator, NamedTuple, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
 
 from . import kernels
-from .chern import ChernVector
-from .enumeration import UNKNOWN, BundleCount, count_bundles, counting_rule
+from .counting import UNKNOWN, counting_rule
+
+if TYPE_CHECKING:
+    from .enumeration import BundleCount
 
 DEFAULT_MAX_TUPLES = 10_000_000
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
@@ -71,21 +73,27 @@ class LaneDied(RuntimeError):
     """A worker lane closed its pipe before sending its last chunk."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep request: one inclusive integer interval per stored class.
-
-    Construction raises BoxTooLarge if the box holds over ``max_tuples``
-    tuples, or over 2^62, past which an index would leave int64, whatever the cap.
-    """
-
+class _SweepFields(NamedTuple):
+    # SweepSpec's fields: a NamedTuple cannot define __new__, so SweepSpec,
+    # which validates on construction, is a subclass
     rank: int
     dim: int
     bounds: tuple[tuple[int, int], ...]
     jobs: int = 1
     max_tuples: int = DEFAULT_MAX_TUPLES
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepFields):
+    """A sweep request: one inclusive integer interval per stored class.
+
+    Construction raises BoxTooLarge if the box holds over ``max_tuples``
+    tuples, or over 2^62, past which an index would leave int64, whatever the cap.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1 or self.dim < 1:
             raise ValueError("rank and dim must be >= 1")
         expected = min(self.rank, self.dim)
@@ -109,6 +117,11 @@ class SweepSpec:
                 f"box holds {total} tuples, above the cap of {self.max_tuples}; "
                 "raise --max-tuples to proceed"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SweepSpec:
+        return cls(*iterable)  # so that _replace validates too
 
     def tuple_count(self) -> int:
         total = 1
@@ -121,9 +134,22 @@ class SweepSpec:
         return max(abs(end) for ends in self.bounds for end in ends)
 
 
+def __getattr__(name: str):
+    """The single-tuple path's ``ChernVector`` and ``count_bundles``, imported on first use."""
+    if name == "ChernVector":
+        from .chern import ChernVector as value
+    elif name == "count_bundles":
+        from .enumeration import count_bundles as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
 def evaluate_classes(rank: int, dim: int, classes: tuple[int, ...]) -> BundleCount:
     """Classify one tuple; the per-tuple unit of sweep work."""
-    return count_bundles(ChernVector(rank, dim, classes))
+    this = sys.modules[__name__]  # through the module, which imports both on first use
+    return this.count_bundles(this.ChernVector(rank, dim, classes))
 
 
 def iter_box(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
@@ -299,6 +325,8 @@ class _Lane:
     def close(self) -> None:
         """Kill the lane unless it has been reaped, reap it, and close the pipe."""
         if self.exitcode is None:
+            import signal  # only a sweep with worker lanes needs it
+
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
         self.reader.close()

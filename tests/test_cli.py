@@ -279,7 +279,7 @@ class TestDiagnoseCommand:
         assert lines[-1] == "exact and numeric paths DISAGREE"
 
 
-# run in a fresh interpreter: cli.main on argv, then which heavy modules it
+# run in a fresh interpreter: cli.main on argv, then which of PROBED it
 # loaded, as the last line of stderr; ``patch`` runs before cli is imported
 STARTUP_PROBE = """
 import contextlib, json, sys
@@ -287,12 +287,14 @@ import contextlib, json, sys
 from bundle_census import cli
 with contextlib.suppress(SystemExit):  # --version exits through argparse
     cli.main(sys.argv[1:])
-print(json.dumps([name in sys.modules for name in ("numpy", "multiprocessing")]), file=sys.stderr)
+print(json.dumps([name in sys.modules for name in {probed}]), file=sys.stderr)
 """
+PROBED = ("numpy", "multiprocessing", "dataclasses", "fractions", "bundle_census.oracle")
 
 
 def probe_startup(argv, patch="", env=None):
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE.format(patch=patch), *argv],
+    code = STARTUP_PROBE.format(patch=patch, probed=PROBED)
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env or child_env(), timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.stderr.splitlines()
@@ -305,17 +307,29 @@ BIG_BOUNDS = ("--bounds=10000000000000000000000000:10000000000000000000000040,"
 
 
 class TestStartUp:
-    """numpy loads only on a sweep with a certified chunk, which computes with it; multiprocessing never loads."""
+    """Each command loads only what it runs.
 
+    numpy loads only on a sweep with a certified chunk, which computes with
+    it; multiprocessing never loads.  The dataclasses and Fractions of the
+    single-tuple API load on ``check``, ``count`` and ``diagnose`` only, and
+    the floating-point oracle on ``diagnose`` only.
+    """
+
+    # per argv, whether each of PROBED loads: numpy, multiprocessing,
+    # dataclasses, fractions, bundle_census.oracle
     @pytest.mark.parametrize("argv, loaded", [
-        (["--version"], [False, False]),
-        (["check", "--classes", "5,6,0"], [False, False]),
-        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], [False, False]),
-        (["diagnose", "--classes", "5,6,0"], [False, False]),
-        (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"], [True, False]),
-        (["sweep", "--rank", "2", "--dim", "3", "--bounds=-150:150,-150:150", "--jobs", "2"], [True, False]),
-        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "1"], [False, False]),
-        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "2"], [False, False]),
+        (["--version"], [False, False, False, False, False]),
+        (["check", "--classes", "5,6,0"], [False, False, True, True, False]),
+        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], [False, False, True, True, False]),
+        (["diagnose", "--classes", "5,6,0"], [False, False, True, True, True]),
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"],
+         [True, False, False, False, False]),
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds=-150:150,-150:150", "--jobs", "2"],
+         [True, False, False, False, False]),
+        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "1"],
+         [False, False, False, False, False]),
+        (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "2"],
+         [False, False, False, False, False]),
     ], ids=["version", "check", "count", "diagnose", "sweep_one_job", "sweep_rank2_150_two_jobs",
             "sweep_python_ints_one_job", "sweep_python_ints_two_jobs"])
     def test_modules_loaded(self, argv, loaded):
@@ -342,7 +356,7 @@ os.fork = spy
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         *lines, loaded = probe_startup(self.LANE_ARGV, self.LANE_SPY, env)
-        assert json.loads(loaded) == [True, False]
+        assert json.loads(loaded) == [True, False, False, False, False]
         return [line for line in lines if line.startswith(("numpy loaded", "threads at start"))]
 
     def test_worker_lanes_fork_after_numpy_loads(self):
@@ -625,6 +639,8 @@ class TestSweepModule:
     def test_box_too_large(self):
         with pytest.raises(BoxTooLarge):
             SweepSpec(2, 3, ((-2, 2), (-2, 2)), max_tuples=3)
+        with pytest.raises(BoxTooLarge):  # a copy with new fields is checked as well
+            SweepSpec(2, 3, ((-2, 2), (-2, 2)))._replace(max_tuples=3)
 
     def test_parse_bounds(self):
         assert parse_bounds("-1:2,0:0") == ((-1, 2), (0, 0))

@@ -23,7 +23,7 @@ from bundle_census import (
     twist_by_line,
 )
 from bundle_census import sweep
-from bundle_census.enumeration import UNKNOWN, CountingRule, counting_rule
+from bundle_census.counting import UNKNOWN, CountingRule, counting_rule
 from bundle_census.sweep import SweepSpec
 from oracles import binom_sum_brute, elem_sym_brute
 

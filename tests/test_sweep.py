@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from bundle_census import cli, kernels, sweep
 from bundle_census.chern import ChernVector
-from bundle_census.enumeration import UNKNOWN, count_bundles, counting_rule
+from bundle_census.counting import UNKNOWN, counting_rule
+from bundle_census.enumeration import count_bundles
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
 from conftest import child_env, spy_on_paths
 from oracles import schwarz_terms_companion
@@ -171,8 +172,7 @@ FAILS_EVERY_R = (-3, -3, -2, -3, 0, 0)
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-# ids as the suite has always reported them: the walk runs on Python ints, "object"
-@pytest.mark.parametrize("path", ["int64", "walk"], ids=["int64", "object"])
+@pytest.mark.parametrize("path", ["int64", "walk"])
 def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, path, monkeypatch):
     if path == "walk":
         monkeypatch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
