@@ -47,7 +47,7 @@ def _admit(order: Optional[int], classes: Sequence[int]) -> None:
     Out of reach is an order above MAX_ORDER, or a B_r that could pass
     Python's limit on the digits of a printed integer.  The certificate
     N R(R+1)...(R+N-1), R = 1 + max|c_i|, bounds every numerator and
-    denominator (``kernels.int64_certified``), so the input decides.
+    denominator (``kernels.certificate_bits``), so the input decides.
     """
     if order is None:
         return
@@ -237,10 +237,6 @@ def _merge_value_flags(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # before numpy loads: its OpenBLAS would start a thread pool, whose start
-    # about doubles numpy's import and which the fork of a sweep worker lane
-    # leaves behind in an unknown state; a value the caller sets is kept
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -46,7 +46,8 @@ class CountingRule(NamedTuple):
 
         Works alike on one tuple (a bool and an int) and elementwise on
         numpy arrays of verdicts and first classes.  Pass
-        ``satisfied=True`` when ``order`` is None.
+        ``satisfied=True`` when ``order`` is None.  It reads c_1 only mod
+        2, so a sweep tabulates it once per chunk.
         """
         if self.regime == UNSUPPORTED:
             return satisfied * UNKNOWN

@@ -5,13 +5,10 @@ order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
 a chunk large; a box holds at most 2^62 tuples, so every index is an int64.
-Each range goes through two stages.  ``classify`` reads the range's
-largest |c_i| off its first and last index.  Where the int64 overflow
-certificate holds, it decodes the range once into int64 numpy rows, one
-per class, and hands their transpose to the batch kernel; elsewhere it
-walks the range on Python ints, with no numpy, along its fastest varying
-class by exact forward differences.  Both apply the counting rule:
-verdicts as count codes 0 to 3, no text.
+Each range goes through two stages.  ``classify`` walks the range on
+Python ints, exact at any size, along its fastest varying class by exact
+forward differences, and applies the counting rule: verdicts as count
+codes 0 to 3, no text.
 ``render`` writes them to bytes, every format alike: one ``%`` over the
 chunk's failing B_r, then one over its records.
 With more than one job the ranges are dealt round-robin to lanes: the
@@ -20,9 +17,6 @@ calling process renders its own share and each worker lane, a bare
 as a ``struct`` header (the data's length, then the chunk's tally)
 followed by the data.  Ranges are always yielded in index order, so
 output is deterministic and independent of the worker count.
-A box certified at its largest end loads numpy before the first worker
-lane forks, so every lane inherits it; a sweep with no certified chunk
-never loads it.
 ``write`` writes a whole sweep: header, chunks, and totals from their tallies.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path: only they
 load ``chern`` and ``enumeration``, on first use, so the bulk path runs
@@ -38,7 +32,7 @@ import struct
 import sys
 from contextlib import closing
 from math import factorial, gcd
-from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from . import kernels
 from .counting import UNKNOWN, counting_rule
@@ -51,7 +45,8 @@ DEFAULT_MAX_TUPLES = 10_000_000
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
 # the most tuples per chunk: few enough that the first records reach stdout
-# at once, enough that numpy's cost per call is spread over many tuples
+# at once, enough that a chunk's kernel calls, at the heads of its first runs
+# and after each wrap of the next slower class, are spread over many tuples
 CHUNK = 1024
 # a chunk's budget of order * bits per tuple, bits being the certificate's
 # bit length (see chunk_tuples): at order 400 it holds a single tuple
@@ -230,8 +225,6 @@ def sweep_chunks(spec: SweepSpec, fmt: str) -> Iterator[Chunk]:
     starts = range(0, total, size)
     lanes = min(spec.jobs, len(starts))
     workers = []
-    if lanes > 1 and _certified(counting_rule(spec.rank, spec.dim), spec.max_abs()):
-        import numpy  # noqa: F401  every chunk computes with it: each worker lane inherits it
     try:
         for lane in range(1, lanes):
             workers.append(_Lane(_lane_main, spec, fmt, starts[lane::lanes], size))
@@ -360,162 +353,159 @@ def render_chunk(spec: SweepSpec, fmt: str, start: int, stop: int) -> Chunk:
 
 
 def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
-    """Verdicts on the tuples with linear index in [start, stop).
+    """Verdicts on the tuples with linear index in [start, stop), on Python ints.
 
     ``start`` and ``stop`` may run past the box's end and are clipped to
     it, so a range that begins there, or ends before it begins, is an
-    empty chunk.  The range's largest |c_i|, read off its first and last
-    index, picks its arithmetic: where ``_certified`` admits it, the range
-    runs on int64 numpy columns and the batch kernel (``_batch``), else on
-    Python ints with no numpy (``_walk``).
-    """
-    rule = counting_rule(spec.rank, spec.dim)
-    stop = min(stop, spec.tuple_count())
-    start = min(start, stop)
-    path = _batch if _certified(rule, _range_max_abs(spec.bounds, start, stop)) else _walk
-    return path(spec, rule, start, stop)
-
-
-def _certified(rule, max_abs: int) -> bool:
-    """Whether tuples with every |c_i| <= ``max_abs`` run on int64.
-
-    With a condition to test, when ``kernels.int64_certified`` admits it;
-    with none, when every class fits the int64 decode.
-    """
-    if rule.order is None:
-        return max_abs < kernels.INT64_LIMIT
-    return kernels.int64_certified(rule.order, max_abs)
-
-
-def _range_max_abs(bounds, start: int, stop: int) -> int:
-    """The largest |c_i| over the tuples with index in [start, stop), 0 if there are none.
-
-    Class i's digit is (index // stride) mod radix, and over the range the
-    quotient runs through consecutive integers: the digits cover the whole
-    interval, or the stretch from the first index's digit to the last's,
-    wrapping past the interval's end.  |c_i| peaks at an end of a stretch.
-    """
-    if stop <= start:
-        return 0
-    ends, stride = [], 1
-    for lo, hi in reversed(bounds):
-        radix = hi - lo + 1
-        first, last = start // stride, (stop - 1) // stride
-        ends += (lo + first % radix, lo + last % radix)
-        if last - first >= radix - 1 or first % radix > last % radix:
-            ends += (lo, hi)
-        stride *= radix
-    return max(map(abs, ends))
-
-
-def _batch(spec: SweepSpec, rule, start: int, stop: int) -> Verdicts:
-    """Verdicts on a certified range, on int64 columns and the batch kernel.
-
-    The range is decoded once, class-major, into an ``(order, T)`` int64
-    array whose row j holds class j + 1 of every tuple, rows past the
-    stored classes zero.  Every class of the range is below 2^62, and every
-    interval is at most 2^62 wide, so each interval's low end fits int64
-    too.  The batch kernel reads the array's transpose with no copy.
-    """
-    import numpy as np
-
-    bounds = spec.bounds
-    index = np.arange(start, stop, dtype=np.int64)  # a box holds at most 2^62 tuples
-    classes = np.zeros((rule.order or len(bounds), len(index)), dtype=np.int64)
-    for j in range(len(bounds) - 1, -1, -1):
-        lo, hi = bounds[j]
-        np.divmod(index, hi - lo + 1, out=(index, classes[j]))
-        classes[j] += lo
-    failing, terms = np.zeros(len(index), dtype=np.int64), []
-    if rule.order is not None:
-        num, den = kernels.schwarz_terms_batch(classes.T)
-        fails = den != 1
-        failing = fails.sum(axis=1)
-        rows, cols = np.nonzero(fails)  # row-major, so each row's terms come out in r order
-        cells = (cols + 2, num[rows, cols], den[rows, cols])
-        terms = np.stack(cells, axis=1).ravel().tolist()
-    counts = rule.count(failing == 0, classes[0])
-    tally = tuple(np.bincount(counts, minlength=UNKNOWN + 1).tolist())
-    columns = classes[: len(bounds)].tolist()
-    return Verdicts(columns, counts.tolist(), failing.tolist(), terms, tally)
-
-
-def _walk(spec: SweepSpec, rule, start: int, stop: int) -> Verdicts:
-    """Verdicts on a range past the certificate, on Python ints, with no numpy.
+    empty chunk.
 
     The range is cut into runs along the fastest varying class c_j, the
     last with more than one value: within a run only c_j moves, by one per
     tuple.  The unreduced A_r = r! B_r = sum_k s(r,k) p_k is a polynomial
     in c_j of degree at most r // j, since each term of p_k is a product
-    of classes whose indices add up to k.  So A_r at the first r // j + 1
-    points of a run, from the single-tuple ``kernels.schwarz_terms``, gives
-    it at every other point by exact forward differences; on a run no
-    longer than that, every point comes from the kernel.  Each r's column
-    is then reduced by r!, with a gcd only where A_r mod r! is not zero.
+    of classes whose indices add up to k.  So its forward differences at
+    a run's first tuple, its head, up to the (order // j)-th, give A_r
+    along the whole run (``_extend``).  A head's differences are in turn
+    polynomials of degree at most D = order // i in the next slower class
+    c_i: once D + 1 heads consecutive in c_i are known, each next one
+    follows from the table of their backward differences (``_advance``).
+    The other heads, after c_i wraps or at the range's start, take theirs
+    from the power sums (``_differences``).  Each A_r is then reduced by
+    r! (``_reduce``).
     """
-    bounds, order = spec.bounds, rule.order
+    rule = counting_rule(spec.rank, spec.dim)
+    bounds, order = spec.bounds, rule.order or 1
+    stop = min(stop, spec.tuple_count())
+    start = min(start, stop)
+    size = stop - start
     radices = [hi - lo + 1 for lo, hi in bounds]
-    j = max((i for i, radix in enumerate(radices) if radix > 1), default=len(bounds) - 1)
+    moving = [i for i, radix in enumerate(radices) if radix > 1] or [len(bounds) - 1]
+    j, slower = moving[-1], moving[-2:-1]
     digits, index = [], start
     for radix in reversed(radices):
         index, digit = divmod(index, radix)
         digits.append(digit)
     digits.reverse()
-    columns = [[] for _ in bounds]
-    orders = range(2, (order or 1) + 1)
+    # B_2 = C(c_1, 2) - c_2 is an integer whatever the classes: r runs from 3
+    orders = range(3, order + 1)
+    m = len(orders)
+    rows = [kernels.stirling_row(r) for r in orders]
+    width = min(radices[j], order // (j + 1) + 1)  # differences per head
+    # A_r's differences in a head's point-major list: every m-th from r - 3
+    cuts = [slice(r - 3, r - 3 + m * min(width, r // (j + 1) + 1), m) for r in orders]
+    depth = order // (slower[0] + 1) if slower else 0
+    columns = [[] if i in moving else [lo] * size for i, (lo, _) in enumerate(bounds)]
     values = [[] for _ in orders]  # A_r of every tuple, one list per r
-    factorials = [factorial(r) for r in orders]
-    degrees = [r // (j + 1) for r in orders]
-    pad = (0,) * ((order or 0) - len(bounds))
-    left = stop - start
+    table, expect = [], None
+    left = size
     while left:
         head = [lo + digit for (lo, _), digit in zip(bounds, digits)]
         run = min(radices[j] - digits[j], left)
-        for i, column in enumerate(columns):
-            column += range(head[i], head[i] + run) if i == j else [head[i]] * run
-        if values:
-            points = [kernels.schwarz_terms((*head[:j], head[j] + k, *head[j + 1:], *pad), order)
-                      for k in range(min(run, degrees[-1] + 1))]
-            for column, f, degree, terms in zip(values, factorials, degrees, zip(*points)):
-                ys = [num * (f // den) for _, num, den in terms]
-                column += ys if run <= degree + 1 else _extend(ys[:degree + 1], run)
+        for i in moving:
+            columns[i] += range(head[j], head[j] + run) if i == j else [head[i]] * run
+        if m:
+            if head == expect and len(table) > depth:
+                diffs = _advance(table)
+            else:
+                diffs = _differences(head, j, min(run, width), rows, order)
+                whole = slower and run >= width  # every difference, so the table may use it
+                table = _push(table if head == expect else [], diffs, depth) if whole else []
+            if table:
+                expect = head.copy()
+                expect[slower[0]] += 1
+            for cut, column in zip(cuts, values):
+                column += _extend(diffs[cut][:run], run)
         left -= run
         digits[j] += run - 1  # the run's last tuple, whose successor opens the next run
         for i in range(j, -1, -1):
             digits[i] = (digits[i] + 1) % radices[i]
             if digits[i]:
                 break
-    failing, cells = [0] * (stop - start), []
-    for r, f, column in zip(orders, factorials, values):
-        rests = [a % f for a in column]
-        fails = list(map(bool, rests))
-        gcds = list(map(gcd, filter(None, rests), itertools.repeat(f)))
-        bad = itertools.compress(column, fails)
-        table = [None, *zip(itertools.repeat(r), map(operator.floordiv, bad, gcds),
-                            map(operator.floordiv, itertools.repeat(f), gcds))]
-        # per tuple, its B_r as (r, num, den) if it fails, else None: the number of
-        # failing tuples up to it, zeroed where it passes, indexes the table
-        cells.append(map(table.__getitem__, map(operator.mul, itertools.accumulate(fails), fails)))
-        failing = list(map(operator.add, failing, fails))
-    # each tuple's failing B_r in r order
-    terms = list(itertools.chain.from_iterable(filter(None, itertools.chain.from_iterable(zip(*cells)))))
-    counts = list(map(rule.count, map(operator.not_, failing), columns[0]))
+    failing, terms = _reduce(values, orders, size) if m else ([0] * size, [])
+    code = [rule.count(satisfied, c1) for satisfied in (False, True) for c1 in (0, 1)]
+    counts = [code[2 * (not n) + (c1 & 1)] for n, c1 in zip(failing, columns[0])]
     tally = tuple(map(counts.count, range(UNKNOWN + 1)))
     return Verdicts(columns, counts, failing, terms, tally)
 
 
-def _extend(ys: list, n: int) -> Iterator[int]:
-    """Values at 0, ..., n - 1 of the polynomial of degree len(ys) - 1 whose first values are ``ys``.
+def _reduce(values: list, orders: range, size: int) -> tuple[list, list]:
+    """Each tuple's number of failing B_r, and those B_r as flat triples r, num, den.
 
-    Forward differences: the top one is constant, and each lower one is
-    accumulated from the one above, starting from its value at 0.
+    ``values`` holds A_r = r! B_r of the ``size`` tuples, one list per r
+    of ``orders``.  B_r fails where A_r mod r! is not zero, and only there
+    takes a gcd.  The lists are laid out tuple-major, each tuple's A_r in
+    r order, so the failing B_r come out in the order ``Verdicts`` keeps.
     """
-    diffs = list(ys)  # diffs[k] becomes the k-th forward difference at 0
-    for k in range(1, len(diffs)):
-        for i in range(len(diffs) - 1, k - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    *lower, top = diffs
-    values = itertools.repeat(top, n - len(lower))  # each accumulation adds one value
+    m, orders = len(orders), list(orders)
+    flat, rests = [0] * (m * size), [0] * (m * size)
+    for i, r, column in zip(range(m), orders, values):
+        flat[i::m] = column
+        rests[i::m] = map(operator.mod, column, itertools.repeat(factorial(r)))
+    dens = list(itertools.compress(list(map(factorial, orders)) * size, rests))
+    gcds = list(map(gcd, filter(None, rests), dens))
+    terms = [0] * (3 * len(gcds))
+    terms[::3] = itertools.compress(orders * size, rests)
+    terms[1::3] = map(operator.floordiv, itertools.compress(flat, rests), gcds)
+    terms[2::3] = map(operator.floordiv, dens, gcds)
+    failing = [m - group.count(0) for group in zip(*[iter(rests)] * m)]
+    return failing, terms
+
+
+def _differences(head: list, j: int, width: int, rows: list, order: int) -> list:
+    """Forward differences 0 to width - 1 along c_j at ``head`` of every A_r, point-major.
+
+    A_r = sum_k s(r,k) p_k for each row s(r, .) of ``rows``, from the
+    power sums p_1 to p_order of the classes with trailing zeros dropped,
+    since e_i = 0 past the degree gives the same p_k.
+    """
+    points = []
+    for t in range(width):
+        classes = [*head[:j], head[j] + t, *head[j + 1:]]
+        while classes and not classes[-1]:
+            classes.pop()
+        p = [0, *kernels.power_sums(classes, order)]
+        points.append([sum(map(operator.mul, row, p)) for row in rows])
+    for q in range(1, width):
+        for t in range(width - 1, q - 1, -1):
+            points[t] = list(map(operator.sub, points[t], points[t - 1]))
+    return list(itertools.chain.from_iterable(points))
+
+
+def _push(table: list, values: list, depth: int) -> list:
+    """The backward difference table at a head, from the table at the head before and its values.
+
+    ``table[i]`` holds the i-th backward differences at the last head, up
+    to the ``depth``-th.
+    """
+    new = [values]
+    for old in table[:depth]:
+        new.append(list(map(operator.sub, new[-1], old)))
+    return new
+
+
+def _advance(table: list) -> list:
+    """The values at the next head, from a full difference table, which it moves there.
+
+    The values are polynomials of degree at most len(table) - 1 in the
+    head's class, so the top difference is constant.
+    """
+    for i in range(len(table) - 2, -1, -1):
+        table[i] = list(map(operator.add, table[i], table[i + 1]))
+    return table[0]
+
+
+def _extend(diffs: list, n: int) -> Iterable[int]:
+    """Values at 0, ..., n - 1 of the polynomial whose forward differences at 0 are ``diffs``.
+
+    ``n`` is at least len(diffs).  The last difference but one runs in
+    steps of the last, and each lower one is accumulated from the one
+    above, starting from its value at 0.
+    """
+    if len(diffs) == 1:
+        return diffs * n
+    *lower, first, step = diffs
+    count = n - len(lower)
+    values = range(first, first + step * count, step) if step else itertools.repeat(first, count)
     for first in reversed(lower):
         values = itertools.accumulate(values, initial=first)
     return values

@@ -23,16 +23,3 @@ def child_env(extra=None):
     env.update(extra or {})
     return env
 
-
-def spy_on_paths(patch):
-    """Record, chunk by chunk, the verdict path each range takes: "int64" (the batch kernel) or "walk"."""
-    from bundle_census import sweep
-
-    paths = []
-    for name, label in (("_batch", "int64"), ("_walk", "walk")):
-        def spy(*args, path=getattr(sweep, name), label=label):
-            paths.append(label)
-            return path(*args)
-
-        patch.setattr(sweep, name, spy)
-    return paths

@@ -1,9 +1,9 @@
 """Kernel-level tests: exactness and oracle equivalence."""
 
+import json
 import math
 import operator
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bundle_census import _kernels_py as kpy
 from bundle_census import kernels, stirling_first, sweep
 from bundle_census.sweep import SweepSpec, render_chunk
-from conftest import spy_on_paths
 from oracles import (
     binom_sum_brute,
     elem_sym_brute,
@@ -28,7 +27,7 @@ on_kernels = pytest.mark.parametrize("kern", [kpy], ids=["python"])
 def test_library_calls_the_reference_kernels():
     # the cases below exercise _kernels_py; this pins that the library
     # runs the very same functions
-    for name in ("schwarz_terms", "binomial_sum_num_den", "stirling_row", "stirling_first"):
+    for name in ("schwarz_terms", "binomial_sum_num_den", "power_sums", "stirling_row", "stirling_first"):
         assert getattr(kernels, name) is getattr(kpy, name), name
     assert kernels.backend_name() == "python"
 
@@ -173,54 +172,43 @@ class TestSchwarzTerms:
 
 
 def certified_edge(order):
-    """Largest max|c_i| that int64_certified admits for S_order."""
+    """Largest max|c_i| whose certificate order R(R+1)...(R+order-1), R = 1 + max|c_i|, is below 2^62."""
+    bits = kernels.INT64_LIMIT.bit_length() - 1
     lo, hi = 0, kernels.INT64_LIMIT
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if kernels.int64_certified(order, mid) else (lo, mid)
+        lo, hi = (mid, hi) if kernels.certificate_bits(order, mid, bits) <= bits else (lo, mid)
     return lo
 
 
-# every order the certificate admits at all: N * N! < 2^62 up to N = 19
+# every order whose certificate is below 2^62 on some classes: N * N! < 2^62 up to N = 19
 ORDERS = range(2, 20)
 
 
-def assert_batch_matches_reference(rows, dtype=np.int64):
-    """The batch kernel on ``rows`` as ``dtype`` ran on int64 and agrees with kpy."""
-    classes = np.array(rows, dtype=dtype)
-    num, den = kernels.schwarz_terms_batch(classes)
-    order = classes.shape[1]
-    assert num.shape == den.shape == (len(rows), order - 1)
-    assert num.dtype == den.dtype == np.int64
-    for row, nums, dens in zip(rows, num.tolist(), den.tolist()):
-        got = [(r, n, d) for r, n, d in zip(range(2, order + 1), nums, dens)]
-        assert got == kpy.schwarz_terms(tuple(row), order), row
-
-
 def assert_sweep_matches(rows, reference, length=4):
-    """Each row, and the ``length - 1`` rows after it along its last class, on the sweep's verdict path.
+    """Each row, and the ``length - 1`` rows after it along its last class, on the sweep's chunk path.
 
     Row (c_1, ..., c_N) opens a one-chunk box of S_N in the stable range
-    whose last class takes ``length`` values.  The chunk takes the int64
-    batch kernel where the certificate admits the box, else the walk, and
-    every tuple's failing B_r are those of ``reference(classes, N)``.
+    whose last class takes ``length`` values, and every tuple's failing
+    B_r are those of ``reference(classes, N)``.
     """
     for row in rows:
         order = len(row)
         bounds = tuple((c, c) for c in row[:-1]) + ((row[-1], row[-1] + length - 1),)
-        spec = SweepSpec(order, order, bounds)
-        with pytest.MonkeyPatch.context() as patch:
-            paths = spy_on_paths(patch)
-            _, _, failing, terms, _ = sweep.classify(spec, 0, length)
-        extent = spec.max_abs()
-        certified = kernels.int64_certified(order, extent) if order > 1 else extent < kernels.INT64_LIMIT
-        assert paths == ["int64" if certified else "walk"], row
+        _, _, failing, terms, _ = sweep.classify(SweepSpec(order, order, bounds), 0, length)
         want = [t for k in range(length) for t in reference((*row[:-1], row[-1] + k), order) if t[2] != 1]
         assert list(zip(terms[::3], terms[1::3], terms[2::3])) == want, row
         assert sum(failing) == len(want)
 
 
 class TestBatchKernel:
+    """The sweep's chunk classification, its one bulk kernel, against the reference kernel.
+
+    The rows at the int64 certificate's edge are where a fixed-width kernel
+    would come closest to overflowing; the walk runs them on Python ints
+    like every other row.
+    """
+
     def test_certificate_is_the_stated_bound(self):
         for order in ORDERS:
             m = certified_edge(order)
@@ -228,7 +216,7 @@ class TestBatchKernel:
                 R = 1 + max_abs
                 assert (order * math.prod(range(R, R + order)) < 2**62) == safe
         assert certified_edge(19) == 0
-        assert not kernels.int64_certified(20, 0)
+        assert kernels.certificate_bits(20, 0, 62) > 62
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_edges_match_reference(self, order):
@@ -238,7 +226,7 @@ class TestBatchKernel:
                 [-m if k % 2 else m for k in range(order)],
                 [m] + [0] * (order - 1), [0] * (order - 1) + [-m],
                 [(k % 3 - 1) * m for k in range(order)]]
-        assert_batch_matches_reference(rows)
+        assert_sweep_matches(rows, kpy.schwarz_terms)
 
     @given(data=st.data(), order=st.sampled_from(ORDERS), count=st.integers(1, 12))
     @settings(max_examples=300)
@@ -249,38 +237,25 @@ class TestBatchKernel:
         entry = st.one_of(st.integers(-m, m), st.sampled_from(edges))
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
                                   min_size=count, max_size=count))
-        assert_batch_matches_reference(rows)
+        assert_sweep_matches(rows, kpy.schwarz_terms, length=2)
 
     def test_uncertified_int64_batch_runs_on_python_ints(self):
-        # the batch kernel refuses what int64 would wrap on; the sweep walks it on Python ints
+        # one past the edge, and S_20, past the certificate even on zeros
         for order in (2, 3, 7):
             m = certified_edge(order)
-            assert_batch_matches_reference([[m] * order, [-m] * order])
             for bad in (m + 1, -(m + 1)):
-                rows = [[0] * (order - 1) + [bad], [m] * order]
-                for dtype in (np.int64, object):
-                    with pytest.raises(ValueError, match="past the int64 certificate"):
-                        kernels.schwarz_terms_batch(np.array(rows, dtype=dtype))
                 first = bad - 3 if bad > 0 else bad  # the box's last class takes 4 values, bad among them
-                assert_sweep_matches([[0] * (order - 1) + [first]], kpy.schwarz_terms)
-        with pytest.raises(ValueError, match=r"S_20 on classes up to 0 "):
-            kernels.schwarz_terms_batch(np.zeros((1, 20), dtype=np.int64))
+                assert_sweep_matches([[0] * (order - 1) + [first], [m] * order], kpy.schwarz_terms)
         assert_sweep_matches([[0] * 20], kpy.schwarz_terms)
 
     def test_empty_batch(self):
-        for order in (1, 4):
-            for dtype in (np.int64, object):
-                num, den = kernels.schwarz_terms_batch(np.zeros((0, order), dtype=dtype))
-                assert num.shape == den.shape == (0, order - 1)
-                assert num.dtype == den.dtype == np.int64
-        # past N = 19 the certificate fails even on zeros, so the batch refuses S_25 outright
-        with pytest.raises(ValueError, match="past the int64 certificate"):
-            kernels.schwarz_terms_batch(np.zeros((0, 25), dtype=np.int64))
+        for order in (1, 4, 25):
+            spec = SweepSpec(order, order, ((0, 2),) + ((0, 0),) * (order - 1))
+            assert sweep.classify(spec, 1, 1) == sweep.Verdicts([[]] * order, [], [], [], (0, 0, 0, 0))
 
     @pytest.mark.parametrize("order", range(1, 31))
     def test_object_rows_match_reference(self, order):
-        # from N = 21 the Stirling weights and N! leave int64 too; rows of
-        # small classes up to N = 19 take the int64 batch, every other walks
+        # past 2^62, and from N = 21, where the Stirling weights and N! are past it too
         huge = 10**40
         rows = [[0] * order, [huge] * order, [-huge] * order,
                 [huge if k % 2 else -huge for k in range(order)],
@@ -294,9 +269,6 @@ class TestBatchKernel:
     def test_random_object_rows_match_reference(self, data, order, count):
         rows = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=order, max_size=order),
                                   min_size=count, max_size=count))
-        extent = max(abs(c) for row in rows for c in row)
-        if kernels.int64_certified(order, extent):  # an object array of certified classes runs on int64
-            assert_batch_matches_reference(rows, dtype=object)
         assert_sweep_matches(rows, kpy.schwarz_terms)
 
 
@@ -305,7 +277,6 @@ class TestBatchKernel:
 def test_certificate_bits_is_the_capped_bit_length(order, max_abs, cap):
     full = order * math.prod(range(1 + max_abs, 1 + max_abs + order))
     assert kernels.certificate_bits(order, max_abs, cap) == min(full.bit_length(), cap + 1)
-    assert kernels.int64_certified(order, max_abs) == (full < kernels.INT64_LIMIT)
 
 
 def non_integral(terms):
@@ -326,14 +297,6 @@ class TestCompanionReference:
         assume(non_integral(want))
         assert kpy.schwarz_terms(tuple(classes), len(classes)) == want
 
-    def assert_batch_matches_route(self, rows):
-        wants = [schwarz_terms_companion(row, len(row)) for row in rows]
-        assume(any(map(non_integral, wants)))
-        num, den = kernels.schwarz_terms_batch(np.array(rows, dtype=np.int64))
-        assert num.dtype == den.dtype == np.int64
-        for want, nums, dens in zip(wants, num.tolist(), den.tolist()):
-            assert list(zip(range(2, len(nums) + 2), nums, dens)) == want
-
     @given(data=st.data(), order=st.integers(3, 18), count=st.integers(1, 6))
     @settings(max_examples=60)
     def test_int64_batch_at_the_certificate_edge(self, data, order, count):
@@ -342,57 +305,34 @@ class TestCompanionReference:
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
                                   min_size=count, max_size=count))
         assume(any(abs(c) == m for row in rows for c in row))
-        self.assert_batch_matches_route(rows)
+        assume(any(non_integral(schwarz_terms_companion(row, order)) for row in rows))
+        assert_sweep_matches(rows, schwarz_terms_companion, length=1)
 
     @given(data=st.data(), order=st.integers(3, 12), count=st.integers(1, 6))
     @settings(max_examples=60)
     def test_batch_on_python_ints_past_2_62(self, data, order, count):
-        # past 2^62 the batch kernel refuses; the sweep walks each row and the two after it
+        # the sweep walks each row and the two after it
         big = st.integers(2**62, 10**30)
         entry = st.one_of(big, big.map(operator.neg), st.integers(-50, 50))
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
                                   min_size=count, max_size=count))
         assume(any(abs(c) >= 2**62 for row in rows for c in row))
         assume(any(non_integral(schwarz_terms_companion(row, order)) for row in rows))
-        with pytest.raises(ValueError, match="past the int64 certificate"):
-            kernels.schwarz_terms_batch(np.array(rows, dtype=object))
         assert_sweep_matches(rows, schwarz_terms_companion, length=3)
 
 
 class TestChunkPath:
-    """The certificate decides, chunk by chunk, between the int64 batch kernel and the walk."""
+    """Chunks at the int64 certificate's edge for S_3, on the walk like every other."""
 
-    def chunk(self, c1_lo, c1_hi):
-        # rank 2 on CP^3 tests S_3 on (c1, c2, 0)
-        spec = SweepSpec(2, 3, ((c1_lo, c1_hi), (-2, 2)))
-        return render_chunk(spec, "json", 0, spec.tuple_count())
-
-    def test_just_below_runs_int64(self, monkeypatch):
-        paths = spy_on_paths(monkeypatch)
-        monkeypatch.setattr(kernels, "schwarz_terms", None)  # the int64 path makes no single-tuple call
+    def test_just_above_runs_bignum(self):
+        # rank 2 on CP^3 tests S_3 on (c1, c2, 0); one class past the edge
         m = certified_edge(3)
-        assert sum(self.chunk(m - 3, m).tally) == 20
-        assert paths == ["int64"]
-
-    def test_just_above_runs_bignum(self, monkeypatch):
-        paths = spy_on_paths(monkeypatch)
-        monkeypatch.setattr(kernels, "schwarz_terms_batch", None)  # the walk makes no batch call
-        m = certified_edge(3)
-        assert sum(self.chunk(m - 3, m + 1).tally) == 25  # one class past the edge walks all 25 tuples
-        assert sum(self.chunk(-m - 1, -m).tally) == 10
-        assert paths == ["walk", "walk"]
-
-    def test_certificate_function_decides(self, monkeypatch):
-        paths = spy_on_paths(monkeypatch)
-        m = certified_edge(3)
-        below = self.chunk(m - 3, m)
-        asked = []
-
-        def refuse(order, max_abs):
-            asked.append((order, max_abs))
-            return False
-
-        monkeypatch.setattr(kernels, "int64_certified", refuse)
-        assert self.chunk(m - 3, m) == below
-        assert asked == [(3, m)]
-        assert paths == ["int64", "walk"]
+        for bounds in (((m - 3, m + 1), (-2, 2)), ((-m - 1, -m), (-2, 2))):
+            spec = SweepSpec(2, 3, bounds)
+            got = render_chunk(spec, "json", 0, spec.tuple_count())
+            records = [json.loads(line) for line in got.data.splitlines()]
+            assert [r["classes"] for r in records] == [list(c) for c in sweep.iter_box(bounds)]
+            for record in records:
+                want = [t for t in kpy.schwarz_terms((*record["classes"], 0), 3) if t[2] != 1]
+                assert [(t["r"], t["value"]) for t in record["failing_r"]] == [
+                    (r, f"{n}/{d}") for r, n, d in want]

@@ -6,7 +6,7 @@ exactly as the record-at-a-time CLI did, sharing no code with the sweep's
 renderer: JSON by ``json.dumps`` of a dict built here, with classes past
 2^53 - 1 as strings, CSV by ``csv.writer`` and the table by its format
 string.  The chunked sweep must give the same bytes for every format,
-chunk size, kernel path and worker count.  Its verdict stage,
+chunk size and worker count.  Its verdict stage,
 ``sweep.classify``, is also held to ``count_bundles`` field by field.
 """
 
@@ -27,12 +27,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bundle_census import _kernels_py as kpy
 from bundle_census import cli, kernels, sweep
 from bundle_census.chern import ChernVector
 from bundle_census.counting import UNKNOWN, counting_rule
 from bundle_census.enumeration import count_bundles
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
-from conftest import child_env, spy_on_paths
+from conftest import child_env
 from oracles import schwarz_terms_companion
 
 
@@ -89,7 +90,7 @@ def tally(counts):
     return tuple(counts.count(k) for k in range(UNKNOWN + 1))
 
 
-EDGE3 = 1154105  # the largest |c_i| int64_certified admits for S_3
+EDGE3 = 1154105  # the largest |c_i| whose S_3 certificate 3 R(R+1)(R+2), R = 1 + |c_i|, is below 2^62
 BIG = 2**53      # beyond it JSON writes a class as a string
 
 BOXES = {
@@ -153,33 +154,16 @@ def test_verdicts_match_count_bundles(box, chunk, monkeypatch):
     assert [g[2] for g in got] == [w[2] for w in want]
 
 
-def test_boxes_cover_both_paths_and_several_chunks(monkeypatch):
-    monkeypatch.setattr(sweep, "CHUNK", 256)
-    paths = spy_on_paths(monkeypatch)
-    for box in ("straddles_certificate", "straddles_negative"):
-        rank, dim, bounds = BOXES[box]
-        spec = SweepSpec(rank, dim, bounds)
-        assert spec.tuple_count() > 2 * sweep.CHUNK
-        paths.clear()
-        swept(spec, "json")
-        assert len(paths) == -(-spec.tuple_count() // sweep.CHUNK), box
-        assert set(paths) == {"int64", "walk"}, box
-
-
 # rank 6 on CP^7: B_r is not an integer for any r in 3..7.  B_2 = C(c_1, 2) - c_2
 # is always one, so N - 2 failing terms is the most a tuple of S_N can have.
 FAILS_EVERY_R = (-3, -3, -2, -3, 0, 0)
 
 
-@pytest.mark.parametrize("fmt", sweep.FORMATS)
-@pytest.mark.parametrize("path", ["int64", "walk"])
-def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt, path, monkeypatch):
-    if path == "walk":
-        monkeypatch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
-    paths = spy_on_paths(monkeypatch)
+# the ids the suite has reported since chunks had two paths
+@pytest.mark.parametrize("fmt", [pytest.param(fmt, id=f"walk-{fmt}") for fmt in sweep.FORMATS])
+def test_tuple_failing_at_every_r_renders_every_term_in_order(fmt):
     spec = SweepSpec(6, 7, tuple((c, c) for c in FAILS_EVERY_R))
     got = sweep.render_chunk(spec, fmt, 0, 1).data.decode()
-    assert paths == [path]
     terms = [(r, f"{n}/{d}") for r, n, d in kernels.schwarz_terms(FAILS_EVERY_R + (0,), 7)
              if d != 1]
     assert [r for r, _ in terms] == [3, 4, 5, 6, 7]
@@ -241,38 +225,110 @@ DEGREE_2_BOX = (4, 5, ((2, 3), (BIG, BIG + 8), (0, 0), (-1, -1)))
 
 
 @given(box=st.one_of(st.just(FAILS_EVERY_R_BOX), st.just(PASSES_EVERY_R_BOX), small_boxes()),
-       fmt=st.sampled_from(sweep.FORMATS), chunk=st.sampled_from([1, 7, None]), int64=st.booleans())
-@example(box=FAILS_EVERY_R_BOX, fmt="json", chunk=None, int64=True)
-@example(box=FAILS_EVERY_R_BOX, fmt="csv", chunk=None, int64=False)
-@example(box=FAILS_EVERY_R_BOX, fmt="table", chunk=1, int64=True)
-@example(box=PASSES_EVERY_R_BOX, fmt="json", chunk=7, int64=False)
-@example(box=PASSES_EVERY_R_BOX, fmt="csv", chunk=None, int64=True)
-@example(box=CUT_RUNS_BOX, fmt="csv", chunk=1, int64=True)
-@example(box=CUT_RUNS_BOX, fmt="json", chunk=7, int64=True)
-@example(box=SHORT_RUN_BOX, fmt="csv", chunk=None, int64=True)
-@example(box=SHORT_RUN_BOX, fmt="table", chunk=7, int64=False)
-@example(box=DEGREE_4_BOX, fmt="json", chunk=None, int64=True)
-@example(box=DEGREE_4_BOX, fmt="csv", chunk=7, int64=True)
-@example(box=DEGREE_2_BOX, fmt="csv", chunk=None, int64=False)
-@example(box=DEGREE_2_BOX, fmt="table", chunk=7, int64=True)
+       fmt=st.sampled_from(sweep.FORMATS), chunk=st.sampled_from([1, 7, None]))
+@example(box=FAILS_EVERY_R_BOX, fmt="json", chunk=None)
+@example(box=FAILS_EVERY_R_BOX, fmt="csv", chunk=None)
+@example(box=FAILS_EVERY_R_BOX, fmt="table", chunk=1)
+@example(box=PASSES_EVERY_R_BOX, fmt="json", chunk=7)
+@example(box=PASSES_EVERY_R_BOX, fmt="csv", chunk=None)
+@example(box=CUT_RUNS_BOX, fmt="csv", chunk=1)
+@example(box=CUT_RUNS_BOX, fmt="json", chunk=7)
+@example(box=SHORT_RUN_BOX, fmt="csv", chunk=None)
+@example(box=SHORT_RUN_BOX, fmt="table", chunk=7)
+@example(box=DEGREE_4_BOX, fmt="json", chunk=None)
+@example(box=DEGREE_4_BOX, fmt="csv", chunk=7)
+@example(box=DEGREE_2_BOX, fmt="csv", chunk=None)
+@example(box=DEGREE_2_BOX, fmt="table", chunk=7)
 @settings(max_examples=120, deadline=None)
-def test_random_boxes_match_reference(box, fmt, chunk, int64):
-    # chunk None keeps CHUNK, so the computed size applies; int64 False
-    # refuses the certificate, so every chunk that tests a condition walks
+def test_random_boxes_match_reference(box, fmt, chunk):
+    # chunk None keeps CHUNK, so the computed size applies
     rank, dim, bounds = box
     spec = SweepSpec(rank, dim, bounds)
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(sweep, "CHUNK", chunk)
-        if not int64:
-            patch.setattr(kernels, "int64_certified", lambda order, max_abs: False)
-        size = sweep.chunk_tuples(spec)
-        paths = spy_on_paths(patch)
         got = swept(spec, fmt)
     assert got == reference_records(rank, dim, bounds, fmt)
-    assert len(paths) == -(-spec.tuple_count() // size)
-    if counting_rule(rank, dim).order is not None:
-        assert int64 or set(paths) == {"walk"}
+
+
+def walked_terms(spec, size):
+    """(classes, failing B_r) of every tuple of the box, classified in ranges of ``size``."""
+    got = []
+    for start in range(0, spec.tuple_count(), size):
+        columns, _, failing, terms, _ = sweep.classify(spec, start, start + size)
+        cells = zip(terms[::3], terms[1::3], terms[2::3])
+        got += [(classes, list(itertools.islice(cells, k))) for classes, k in zip(zip(*columns), failing)]
+    return got
+
+
+def reference_terms(spec):
+    """(classes, failing B_r) of every tuple of the box, from the reference kernel."""
+    order = counting_rule(spec.rank, spec.dim).order
+    padding = (0,) * (order - len(spec.bounds))
+    return [(c, [t for t in kpy.schwarz_terms(c + padding, order) if t[2] != 1])
+            for c in iter_box(spec.bounds)]
+
+
+# rank 3 on CP^4 near 10^25: c_2, the fastest class, takes 2 values, so a run
+# is its head and one more tuple, and c_1, the next slower, takes 200 values
+SHORT_RUNS_BOUNDS = ((10**25, 10**25 + 199), (-2 * 10**25, -2 * 10**25 + 1), (10**25 // 7, 10**25 // 7))
+# c_3 takes 2 values and c_2, the next slower, 50, wrapping twice in a chunk
+WRAPS_BOUNDS = ((10**25, 10**25 + 2), (-2 * 10**25, -2 * 10**25 + 49), (10**25 // 7, 10**25 // 7 + 1))
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("bounds", [SHORT_RUNS_BOUNDS, WRAPS_BOUNDS], ids=["short_runs", "next_class_wraps"])
+def test_run_heads_follow_from_the_next_slower_class(bounds, chunk, monkeypatch):
+    # S_4's A_r has degree 4 // i in c_i: the heads' table along c_1 holds 5
+    # heads, along c_2 3.  Chunks of 7 open part way through a run, so the
+    # table starts again at each; chunk None keeps the computed size, 386
+    if chunk is not None:
+        monkeypatch.setattr(sweep, "CHUNK", chunk)
+    spec = SweepSpec(3, 4, bounds)
+    size = sweep.chunk_tuples(spec)
+    heads, differences = [], sweep._differences
+    monkeypatch.setattr(sweep, "_differences", lambda head, *args: heads.append(head) or differences(head, *args))
+    assert walked_terms(spec, size) == reference_terms(spec)
+    if chunk is None:
+        assert size == 386
+        (lo1, _), (lo2, _), (lo3, _) = bounds
+        if bounds == SHORT_RUNS_BOUNDS:  # the first 5 heads of each chunk, the second at c_1 = lo1 + 193
+            want = [[lo1 + k, lo2, lo3] for k in (*range(5), *range(193, 198))]
+        else:  # the first 3 heads after each wrap of c_2
+            want = [[c1, lo2 + k, lo3] for c1 in range(lo1, lo1 + 3) for k in range(3)]
+        assert heads == want
+
+
+@st.composite
+def table_boxes(draw):
+    """Rank 2 to 6 on CP^rank or CP^(rank+1) with a next slower class long enough for its heads' table.
+
+    c_j, the fastest class, takes 2 to 4 values; c_i, the next slower, the
+    D + 1 values that fill the table, D = order // i, and up to 4 more; a
+    class before it may take 2 values, so that c_i wraps.
+    """
+    rank = draw(st.integers(2, 6))
+    dim = draw(st.sampled_from([rank, rank + 1]))
+    n, order = min(rank, dim), counting_rule(rank, dim).order
+    j = draw(st.integers(1, n - 1))
+    i = draw(st.integers(0, j - 1))
+    widths = [0] * n
+    widths[j] = draw(st.integers(1, 3))
+    widths[i] = order // (i + 1) + draw(st.integers(0, 4))
+    if i > 0:
+        widths[draw(st.integers(0, i - 1))] = draw(st.integers(0, 1))
+    bounds = []
+    for width in widths:
+        lo = draw(st.sampled_from([0, 0, EDGE3, BIG, -BIG, 10**25])) + draw(st.integers(-4, 4))
+        bounds.append((lo, lo + width))
+    return SweepSpec(rank, dim, tuple(bounds))
+
+
+@given(spec=table_boxes(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_heads_table_matches_reference(spec, data):
+    size = data.draw(st.integers(1, spec.tuple_count()))
+    assert walked_terms(spec, size) == reference_terms(spec)
 
 
 def test_chunk_size_follows_the_certificate():
@@ -340,24 +396,21 @@ def decode(index, bounds):
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-@pytest.mark.parametrize("bounds, kernel_paths", [
-    # an end past int64: walked on Python ints
-    (((2**63, 2**63 + 4), (-5, 5)), ("walk", "walk")),
-    # the widest interval a box admits, its radix 2^62: its small classes at
-    # the start are decoded in int64 for the batch kernel, its last walked
-    (((0, 0), (-5, 2**62 - 6)), ("int64", "walk")),
+@pytest.mark.parametrize("bounds", [
+    # an end past int64
+    ((2**63, 2**63 + 4), (-5, 5)),
+    # the widest interval a box admits, its radix 2^62: small classes at the
+    # start, classes near 2^62 at the end
+    ((0, 0), (-5, 2**62 - 6)),
 ], ids=["bounds0-kernel_dtypes0", "bounds1-kernel_dtypes1"])  # as the suite has always reported them
-def test_ranges_at_the_int64_decoding_limit(bounds, kernel_paths, fmt, monkeypatch):
+def test_ranges_at_the_int64_decoding_limit(bounds, fmt):
     spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
     assert total <= kernels.INT64_LIMIT
-    paths = spy_on_paths(monkeypatch)
-    for (start, stop), path in zip(((0, 40), (total - 30, total)), kernel_paths):
+    for start, stop in ((0, 40), (total - 30, total)):
         tuples = [decode(i, bounds) for i in range(start, stop)]
         pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
-        paths.clear()
         got = sweep.render_chunk(spec, fmt, start, stop)
-        assert paths == [path]
         assert got.data == render_reference(pairs, 2, fmt)
         assert got.tally == tally([result.count for _, result in pairs])
     assert tuples[-1] == tuple(hi for lo, hi in bounds)
@@ -669,31 +722,12 @@ def test_sweep_extension_agrees_with_count(capsysbinary):
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_kernel_dtype_follows_the_certificate_on_the_range(bounds, data):
-    # the largest |c_i| of the range alone picks its path: the int64 batch kernel or the walk
+def test_any_range_of_a_box_matches_reference(bounds, data):
+    # a range may open and close part way through a run, near the int64 edge or not
     bounds = tuple((centre + offset, centre + offset + width) for centre, offset, width in bounds)
     tuples = list(iter_box(bounds))
     start = data.draw(st.integers(0, len(tuples) - 1))
     stop = data.draw(st.integers(start + 1, len(tuples)))
-    with pytest.MonkeyPatch.context() as patch:
-        paths = spy_on_paths(patch)
-        got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
-    extent = max(abs(c) for t in tuples[start:stop] for c in t)
-    assert paths == ["int64" if kernels.int64_certified(3, extent) else "walk"]
+    got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
     pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples[start:stop]]
     assert got.data == render_reference(pairs, 2, "json")
-
-
-@given(bounds=st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 6)), min_size=1, max_size=3),
-       start=st.integers(0, 350), length=st.integers(0, 20))
-# ranges that wrap past the end of the last class's interval and of the middle
-# class's, whose largest |c_i| is an end of that interval and of neither index
-@example(bounds=[(27, 5), (28, 3), (29, 5)], start=57, length=4)
-@example(bounds=[(-2, 2), (2, 6), (4, 0)], start=5, length=5)
-@settings(max_examples=300, deadline=None)
-def test_range_extent_is_read_off_its_ends(bounds, start, length):
-    # the largest |c_i| that picks a range's path, against the decoded tuples
-    bounds = tuple((lo, lo + width) for lo, width in bounds)
-    tuples = list(iter_box(bounds))
-    want = max((abs(c) for t in tuples[start:start + length] for c in t), default=0)
-    assert sweep._range_max_abs(bounds, start, min(start + length, len(tuples))) == want
