@@ -41,17 +41,16 @@ class CountingRule(NamedTuple):
     order: Optional[int]
     extension: Optional[int] = None
 
-    def count(self, satisfied, c1):
+    def count(self, satisfied: bool, c1: int) -> int:
         """The count code, given the S_N verdict and c_1: 0, 1, 2 or UNKNOWN.
 
-        Works alike on one tuple (a bool and an int) and elementwise on
-        numpy arrays of verdicts and first classes.  Pass
-        ``satisfied=True`` when ``order`` is None.  It reads c_1 only mod
-        2, so a sweep tabulates it once per chunk.
+        ``satisfied`` is a bool and ``c1`` an int; pass ``satisfied=True``
+        when ``order`` is None.  It reads c_1 only mod 2, so a sweep
+        tabulates it once per chunk.
         """
         if self.regime == UNSUPPORTED:
             return satisfied * UNKNOWN
-        return satisfied * (1 + ((self.extension is not None) & (c1 % 2 == 0)))
+        return satisfied * (1 + (self.extension is not None and c1 % 2 == 0))
 
 
 def counting_rule(rank: int, dim: int) -> CountingRule:

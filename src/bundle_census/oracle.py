@@ -1,17 +1,19 @@
 """Floating-point verification path for the exact engine.
 
-Finds the Chern roots delta_j numerically (the Aberth-Ehrlich iteration,
-then Newton polishing), evaluates sum_j C(delta_j, r) directly, every r at
-once from one cumulative product over the roots, and compares against the
-exact symmetric-function route.  This catches sign-convention and
-recurrence bugs, but it never decides integrality: that is exactly the
-question floating point cannot answer, so near-integer values are
-reported with diagnostics only.
+Finds the Chern roots delta_j numerically (the Aberth-Ehrlich iteration),
+evaluates sum_j C(delta_j, r) directly, every r at once from one
+cumulative product over the roots, and compares against the exact
+symmetric-function route.  This catches sign-convention and recurrence
+bugs, but it never decides integrality: that is exactly the question
+floating point cannot answer, so near-integer values are reported with
+diagnostics only.
 
-Results carry reliability flags instead of silently degrading: a large
-root residual, a conditioning estimate beyond the trustworthy range, or a
-non-real value outside tolerance (B_r is real) marks the value unreliable
-rather than letting it masquerade as a disagreement.
+Results carry reliability flags instead of silently degrading: a root
+whose backward error |P(z)| / sum |a_k| |z|^k passes BACKWARD_TOL, a
+conditioning estimate beyond the trustworthy range, or a non-real value
+outside tolerance (B_r is real) marks the value unreliable rather than
+letting it masquerade as a disagreement.  The one backward error both
+settles each zero of the iteration and judges the roots it returns.
 
 The path is plain Python floats and complex numbers, so ``diagnose``
 never loads numpy.  The exact side is ``kernels``, read straight into
@@ -34,29 +36,34 @@ from . import kernels
 if TYPE_CHECKING:
     from .enumeration import ClassData
 
-# the residual tolerance scales with the coefficient size; the agreement tolerance
-# with (1 + max|delta|)^r, the conditioning of the falling factorial at the roots
-RESIDUAL_SCALE = 1e-8
+    # (coefficients, their sizes) highest degree first, then both reversed
+    Forms = tuple[tuple[list[float], list[float]], tuple[list[float], list[float]]]
+
+# the agreement tolerance scales with (1 + max|delta|)^r, the conditioning of
+# the falling factorial at the roots
 AGREE_TOL = 1e-6
 CONDITION_CAP = 1e12
-# damped Newton steps refining the Aberth roots
-POLISH_STEPS = 4
 # Aberth sweeps after which a root that has not settled is left as it is
 MAX_SWEEPS = 100
 EPS = sys.float_info.epsilon
+# the largest backward error at which the roots count as reliable
+BACKWARD_TOL = 1e3 * EPS
 # relative distance within which two zeros count as conjugates, and a zero as real
 PAIR_TOL = 1e-8
 
 
 class NumericRoots(NamedTuple):
-    """Numerically computed Chern roots delta_j with a residual certificate.
+    """Numerically computed Chern roots delta_j with a backward-error certificate.
 
     The roots satisfy prod(y + delta_j) = y^n + c_1 y^(n-1) + ... + c_n,
     i.e. they are the negatives of the polynomial's zeros.  ``residual``
-    is the max absolute value of the polynomial at the computed zeros;
-    ``reliable`` is False when it exceeds RESIDUAL_SCALE * (1 + max|c_i|),
-    and also when a coefficient exceeds 2^53: past that the polynomial
-    being solved is no longer the polynomial that was asked about.
+    is the largest backward error |P(z)| / sum |a_k| |z|^k over the
+    computed zeros z, P the polynomial without its zero roots: each root
+    is an exact root of a polynomial whose coefficients differ from P's by
+    at most that relative amount.  ``reliable`` is False when it exceeds
+    BACKWARD_TOL, and also when a coefficient exceeds 2^53: past that the
+    polynomial being solved is no longer the polynomial that was asked
+    about.
     """
 
     roots: tuple[complex, ...]
@@ -118,13 +125,13 @@ def _coefficients(c: ClassData) -> tuple[int, ...]:
 
 
 def find_roots(c: ClassData) -> NumericRoots:
-    """All n roots delta_j of y^n + c_1 y^(n-1) + ... + c_n, with residual.
+    """All n roots delta_j of y^n + c_1 y^(n-1) + ... + c_n, with their backward error.
 
     Trailing zero classes give exact zero roots; the rest come from the
     Aberth-Ehrlich iteration on the deflated polynomial, made real or
-    exactly conjugate where they are so up to rounding, then refined by
-    damped Newton steps (a step is kept only when it does not increase |P|),
-    so clustered roots cannot make polishing diverge.  Non-convergence is
+    exactly conjugate where they are so up to rounding.  Each final zero
+    is then judged by its backward error on the deflated polynomial, which
+    the factor y^k of the zero roots does not change.  Non-convergence is
     reported through the ``reliable`` flag, never as a silent answer.
     """
     coeffs = _coefficients(c)
@@ -138,59 +145,45 @@ def find_roots(c: ClassData) -> NumericRoots:
             residual=float("inf"),
             reliable=False,
         )
-    poly = [1.0, *map(float, coeffs)]
     degree = n
     while degree and not coeffs[degree - 1]:
         degree -= 1
-    zeros, values = _polish(poly, _conjugate_pairs(_aberth(poly[:degree + 1])))
-    # nan if any value is nan, which max alone would not promise
-    residual = math.nan if any(v != v for v in values) else max(values, default=0.0)
-    limit = RESIDUAL_SCALE * (1.0 + max(abs(x) for x in coeffs))
+    poly = [1.0, *map(float, coeffs[:degree])]
+    sizes = [abs(a) for a in poly]
+    forms = (poly, sizes), (poly[::-1], sizes[::-1])
+    zeros = _conjugate_pairs(_aberth(forms))
+    residual = max([_evaluate(forms, z)[2] for z in zeros], default=0.0)
     representable = all(abs(x) <= 2**53 for x in coeffs)
     deltas = sorted([-z for z in zeros] + [-0j] * (n - degree), key=lambda w: (w.real, w.imag))
     return NumericRoots(
         roots=tuple(deltas),
         residual=residual,
-        reliable=representable and residual <= limit,
+        reliable=representable and residual <= BACKWARD_TOL,
     )
 
 
-def _aberth(poly: list[float]) -> list[complex]:
-    """The zeros of poly (highest degree first, nonzero constant term) by Aberth-Ehrlich.
+def _aberth(forms: Forms) -> list[complex]:
+    """The zeros of a polynomial with nonzero constant term by Aberth-Ehrlich.
 
     Bini's starting points; every sweep updates each unsettled zero in turn
-    against the current others.  P/P' comes from Horner's rule in z where
-    |z| <= 1 and in 1/z on the reversed polynomial where |z| > 1, so no
-    power of z leaves the float range.  A zero settles when |P| falls to
-    the rounding bound of its evaluation, or when its step is at most a few
-    units in the last place of z: rounding alone can keep a zero stepping
-    back and forth by one unit.
+    against the current others.  A zero settles when its backward error
+    falls to eps, the rounding of its own evaluation, or when its step is
+    at most a few units in the last place of z: rounding alone can keep a
+    zero stepping back and forth by one unit.
     """
+    (poly, sizes), _ = forms
     d = len(poly) - 1
     zs = _starting_points(poly)
-    rev = poly[::-1]
-    sizes = [abs(a) for a in poly]
-    rev_sizes = sizes[::-1]
     # sum |a_k| caps the rounding bound at any argument of at most 1, and is
     # checked first, which spares computing the bound far from a zero
-    total = sum(sizes)
+    cutoff = EPS * sum(sizes)
     active = range(d)
     for _ in range(MAX_SWEEPS):
         unsettled = []
         for i in active:
             z = zs[i]
-            r = _magnitude(z)
-            # P/P' = value/den: P'(z) in z, and on the reversed polynomial R
-            # in w = 1/z, P/P' = R(w) / (w (d R(w) - w R'(w)))
-            if r <= 1:
-                value, den = _horner(poly, z)
-                rounding = sizes, r
-            else:
-                w = 1 / z
-                value, deriv = _horner(rev, w)
-                den = w * (d * value - w * deriv)
-                rounding = rev_sizes, 1 / r
-            if abs(value) <= EPS * total and abs(value) <= EPS * _horner_bound(*rounding):
+            value, den, error = _evaluate(forms, z, cutoff)
+            if error <= EPS:
                 continue
             # the Aberth step N / (1 - N sum_j 1/(z - z_j)), N = P/P'
             den -= value * sum([1 / (z - u) for u in zs if u != z])
@@ -199,12 +192,41 @@ def _aberth(poly: list[float]) -> list[complex]:
                 continue
             step = value / den
             zs[i] = z - step
-            if _magnitude(step) > 4 * EPS * r:
+            if _magnitude(step) > 4 * EPS * _magnitude(z):
                 unsettled.append(i)
         active = unsettled
         if not active:
             break
     return zs
+
+
+def _evaluate(forms: Forms, z: complex, cutoff: float = math.inf) -> tuple[complex, complex, float]:
+    """P/P' at z as value / den, and the backward error |P(z)| / sum |a_k| |z|^k.
+
+    Horner's rule runs in z where |z| <= 1 and on the reversed polynomial R
+    in w = 1/z where |z| > 1, so no power of z leaves the float range.
+    There value = R(w) = w^d P(z) and P/P' = R(w) / (w (d R(w) - w R'(w))),
+    and the bound scales by the same |w|^d, so the quotient is the same.
+    The bound, sum |a_k| |z|^k, is the scale of the rounding error of the
+    evaluation.  It is taken only where |value| <= cutoff: elsewhere, and
+    where the value is nan, the error reads inf.
+    """
+    r = _magnitude(z)
+    if r <= 1:
+        (poly, sizes), _ = forms
+        value, den = _horner(poly, z)
+    else:
+        _, (poly, sizes) = forms
+        z, r = 1 / z, 1 / r
+        value, deriv = _horner(poly, z)
+        den = z * ((len(poly) - 1) * value - z * deriv)
+    size = abs(value)
+    if not size <= cutoff:
+        return value, den, math.inf
+    bound = 0.0
+    for a in sizes:
+        bound = bound * r + a
+    return value, den, size / bound
 
 
 def _starting_points(poly: list[float]) -> list[complex]:
@@ -246,14 +268,6 @@ def _horner(poly: list[float], z: complex) -> tuple[complex, complex]:
     return value, deriv
 
 
-def _horner_bound(sizes: list[float], r: float) -> float:
-    """sum |a_k| r^k: the scale of the rounding error of Horner's rule at |z| = r."""
-    bound = 0.0
-    for size in sizes:
-        bound = bound * r + size
-    return bound
-
-
 def _magnitude(z: complex) -> float:
     """|z| as hypot, which reads inf past the float range where abs raises."""
     return math.hypot(z.real, z.imag)
@@ -267,7 +281,7 @@ def _conjugate_pairs(zeros: list[complex]) -> list[complex]:
     point.  The others, upper and lower half-plane each sorted by real part,
     pair up in order, and a pair within PAIR_TOL of conjugate becomes its
     mean and the mean's conjugate; any other zero stays as found.
-    Polishing keeps this symmetry exactly, so the imaginary parts of every
+    Nothing moves the zeros after this, so the imaginary parts of every
     B_r cancel exactly over a symmetric set of roots.
     """
     real, upper, lower = [], [], []
@@ -288,33 +302,6 @@ def _conjugate_pairs(zeros: list[complex]) -> list[complex]:
             u = v = (u + v) / 2
         real += [u, v.conjugate()]
     return real
-
-
-def _polish(poly: list[float], zeros: list[complex]) -> tuple[list[complex], list[float]]:
-    """The zeros after POLISH_STEPS damped Newton steps on forward Horner, and |P| at each.
-
-    A step is kept only when it does not increase |P|; a refused step would
-    be refused again, and so would a step that leaves z as it is, so
-    polishing that zero stops there.
-    """
-    out, values = [], []
-    for z in zeros:
-        value, deriv = _horner(poly, z)
-        size = _magnitude(value)
-        for _ in range(POLISH_STEPS):
-            if not _magnitude(deriv) > 0:
-                break
-            candidate = z - value / deriv
-            if candidate == z:
-                break
-            cand_value, cand_deriv = _horner(poly, candidate)
-            cand_size = _magnitude(cand_value)
-            if not cand_size <= size:
-                break
-            z, value, deriv, size = candidate, cand_value, cand_deriv, cand_size
-        out.append(z)
-        values.append(size)
-    return out, values
 
 
 def binomial_sums_numeric(roots: NumericRoots, r_max: int) -> list[complex]:

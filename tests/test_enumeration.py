@@ -3,7 +3,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,19 +253,6 @@ class TestCountingRule:
         for (satisfied, c1), code in self.CODES[shape].items():
             got = rule.count(satisfied, c1)
             assert got == code and type(got) is int, (satisfied, c1)
-
-    @pytest.mark.parametrize("dtype", [np.int64, object])
-    @pytest.mark.parametrize("shape", CODES)
-    def test_count_codes_on_arrays(self, shape, dtype):
-        cases = self.CODES[shape]
-        satisfied = np.array([s for s, _ in cases])
-        c1 = np.array([c for _, c in cases], dtype=dtype)
-        if dtype is object:  # a first class past int64 keeps its parity
-            c1 += 2**70
-        got = counting_rule(*shape).count(satisfied, c1)
-        assert got.dtype == np.int64
-        assert got.tolist() == list(cases.values())
-        assert np.bincount(got, minlength=UNKNOWN + 1).sum() == len(cases)
 
     def test_unknown_is_the_last_tally_slot(self):
         # a sweep tallies codes 0 to UNKNOWN; count_bundles reports UNKNOWN as None

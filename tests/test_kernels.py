@@ -19,11 +19,6 @@ from oracles import (
     schwarz_terms_companion,
 )
 
-# every case runs on _kernels_py; the single "python" id keeps the test
-# names the suite has always reported
-on_kernels = pytest.mark.parametrize("kern", [kpy], ids=["python"])
-
-
 def test_library_calls_the_reference_kernels():
     # the cases below exercise _kernels_py; this pins that the library
     # runs the very same functions
@@ -32,33 +27,32 @@ def test_library_calls_the_reference_kernels():
     assert kernels.backend_name() == "python"
 
 
-@on_kernels
 class TestStirling:
-    def test_base_case(self, kern):
-        assert kern.stirling_first(0, 0) == 1
+    def test_base_case(self):
+        assert kpy.stirling_first(0, 0) == 1
 
-    def test_row_three(self, kern):
+    def test_row_three(self):
         # x(x-1)(x-2) = x^3 - 3x^2 + 2x
-        assert kern.stirling_first(3, 2) == -3
-        assert kern.stirling_first(3, 1) == 2
-        assert kern.stirling_row(3) == (0, 2, -3, 1)
+        assert kpy.stirling_first(3, 2) == -3
+        assert kpy.stirling_first(3, 1) == 2
+        assert kpy.stirling_row(3) == (0, 2, -3, 1)
 
-    def test_domain_errors(self, kern):
+    def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kern.stirling_first(2, 3)
+            kpy.stirling_first(2, 3)
         with pytest.raises(ValueError):
-            kern.stirling_first(-1, 0)
+            kpy.stirling_first(-1, 0)
         with pytest.raises(ValueError):
-            kern.stirling_first(3, -1)
+            kpy.stirling_first(3, -1)
 
-    def test_row_sums_are_falling_factorials(self, kern):
+    def test_row_sums_are_falling_factorials(self):
         for r in range(0, 9):
-            row = kern.stirling_row(r)
+            row = kpy.stirling_row(r)
             for m in range(-10, 11):
                 value = sum(row[k] * m**k for k in range(r + 1))
                 assert value == falling_factorial(m, r), (r, m)
 
-    def test_concurrent_table_growth(self, kern):
+    def test_concurrent_table_growth(self):
         # many threads force the same deep rows; the memo table must stay
         # consistent (rows are checked against a fresh serial computation)
         import threading
@@ -66,7 +60,7 @@ class TestStirling:
         results = []
 
         def worker():
-            results.append(kern.stirling_row(60))
+            results.append(kpy.stirling_row(60))
 
         threads = [threading.Thread(target=worker) for _ in range(16)]
         for t in threads:
@@ -93,80 +87,77 @@ class TestStirlingFirst:
             stirling_first(4, 5)
 
 
-@on_kernels
 class TestPowerSums:
-    def test_all_zero_roots(self, kern):
-        assert kern.power_sums((0, 0, 0), 7) == [0] * 7
+    def test_all_zero_roots(self):
+        assert kpy.power_sums((0, 0, 0), 7) == [0] * 7
 
-    def test_two_unit_coefficients(self, kern):
-        assert kern.power_sums((1, 1), 2) == [1, -1]
+    def test_two_unit_coefficients(self):
+        assert kpy.power_sums((1, 1), 2) == [1, -1]
 
     @given(
         roots=st.lists(st.integers(-20, 20), min_size=1, max_size=10),
         extra=st.integers(0, 4),
     )
     @settings(max_examples=200)
-    def test_matches_direct_powering(self, kern, roots, extra):
+    def test_matches_direct_powering(self, roots, extra):
         coeffs = elem_sym_brute(roots)
         R = len(roots) + extra
-        got = kern.power_sums(coeffs, R)
+        got = kpy.power_sums(coeffs, R)
         assert got == [power_sum_brute(roots, k) for k in range(1, R + 1)]
 
     @given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=6))
     @settings(max_examples=50)
-    def test_huge_inputs_stay_exact(self, kern, roots):
+    def test_huge_inputs_stay_exact(self, roots):
         coeffs = elem_sym_brute(roots)
-        got = kern.power_sums(coeffs, len(roots) + 2)
+        got = kpy.power_sums(coeffs, len(roots) + 2)
         assert got == [power_sum_brute(roots, k) for k in range(1, len(roots) + 3)]
 
 
-@on_kernels
 class TestBinomialSum:
-    def test_zero_roots(self, kern):
-        assert kern.binomial_sum_num_den((0, 0, 0), 4) == (0, 1)
+    def test_zero_roots(self):
+        assert kpy.binomial_sum_num_den((0, 0, 0), 4) == (0, 1)
 
-    def test_roots_two_three(self, kern):
+    def test_roots_two_three(self):
         # C(2,2) + C(3,2) = 1 + 3
-        assert kern.binomial_sum_num_den((5, 6), 2) == (4, 1)
+        assert kpy.binomial_sum_num_den((5, 6), 2) == (4, 1)
 
-    def test_half_integral_case(self, kern):
-        assert kern.binomial_sum_num_den((1, 1), 2) == (-1, 1)
-        assert kern.binomial_sum_num_den((1, 1, 0), 3) == (1, 2)
+    def test_half_integral_case(self):
+        assert kpy.binomial_sum_num_den((1, 1), 2) == (-1, 1)
+        assert kpy.binomial_sum_num_den((1, 1, 0), 3) == (1, 2)
 
     @given(
         roots=st.lists(st.integers(-12, 12), min_size=1, max_size=8),
         r=st.integers(1, 10),
     )
     @settings(max_examples=200)
-    def test_integer_roots_give_integers(self, kern, roots, r):
-        num, den = kern.binomial_sum_num_den(elem_sym_brute(roots), r)
+    def test_integer_roots_give_integers(self, roots, r):
+        num, den = kpy.binomial_sum_num_den(elem_sym_brute(roots), r)
         want = binom_sum_brute(roots, r)
         assert den == want.denominator == 1
         assert num == want
 
 
-@on_kernels
 class TestSchwarzTerms:
-    def test_covers_two_through_n(self, kern):
-        terms = kern.schwarz_terms((1, 2, 3, 4), 4)
+    def test_covers_two_through_n(self):
+        terms = kpy.schwarz_terms((1, 2, 3, 4), 4)
         assert [t[0] for t in terms] == [2, 3, 4]
 
-    def test_length_must_match(self, kern):
+    def test_length_must_match(self):
         with pytest.raises(ValueError):
-            kern.schwarz_terms((1, 2), 3)
+            kpy.schwarz_terms((1, 2), 3)
 
-    def test_n_one_is_vacuous(self, kern):
-        assert kern.schwarz_terms((5,), 1) == []
+    def test_n_one_is_vacuous(self):
+        assert kpy.schwarz_terms((5,), 1) == []
 
     @given(
         classes=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
     )
     @settings(max_examples=200)
-    def test_agrees_with_binomial_sum(self, kern, classes):
+    def test_agrees_with_binomial_sum(self, classes):
         N = len(classes)
-        terms = kern.schwarz_terms(tuple(classes), N)
+        terms = kpy.schwarz_terms(tuple(classes), N)
         for r, num, den in terms:
-            assert (num, den) == kern.binomial_sum_num_den(tuple(classes), r)
+            assert (num, den) == kpy.binomial_sum_num_den(tuple(classes), r)
             assert den >= 1
 
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,9 @@ from bundle_census import (
 from bundle_census import kernels, oracle
 from bundle_census.oracle import (
     AGREE_TOL,
+    BACKWARD_TOL,
     CONDITION_CAP,
-    RESIDUAL_SCALE,
+    EPS,
     binomial_sums_numeric,
 )
 from oracles import binomial_sum_numeric_reference
@@ -69,6 +71,16 @@ def test_roots_sorted_deterministically():
     assert a.roots == b.roots
 
 
+def exact_backward_error(classes, z):
+    """|P(z)| / sum |a_k| |z|^k, P = y^n + c_1 y^(n-1) + ... + c_n, with P(z) in exact rationals."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(1), Fraction(0)
+    for c in classes:
+        re, im = re * x - im * y + c, re * y + im * x
+    bound = sum(abs(a) * abs(z) ** k for k, a in enumerate(reversed((1,) + classes)))
+    return math.hypot(re, im) / bound
+
+
 class TestAberth:
     """The pure-Python root search against numpy.roots and against known roots."""
 
@@ -92,13 +104,22 @@ class TestAberth:
             sums = binomial_sums_numeric(roots, n)
             assert all(value.imag == 0 for value in sums if cmath.isfinite(value)), (n, m)
 
-    def test_polishing_brings_the_residual_under_its_limit(self, monkeypatch):
-        # the Aberth roots stop at the rounding bound of their evaluation;
-        # the damped Newton steps take |P| a decade further here
+    def test_residual_is_the_largest_backward_error(self):
+        # the search's float evaluation is off from exact rationals by at most
+        # the rounding of Horner's rule, about 2 d eps in the backward error:
+        # a bound relative to the error away from a zero, absolute at one
         classes = (11, 14, -5, 3, -13, 3, 11, 7, 14, -11)
-        assert find_roots(classes).reliable
-        monkeypatch.setattr(oracle, "POLISH_STEPS", 0)
-        assert not find_roots(classes).reliable
+        poly = [1.0, *map(float, classes)]
+        sizes = [abs(a) for a in poly]
+        forms = (poly, sizes), (poly[::-1], sizes[::-1])
+        for z in (0.5 + 0.3j, -0.9j, 2 + 1j, -7.5 + 0.1j, 30j):
+            error = oracle._evaluate(forms, z)[2]
+            assert error == pytest.approx(exact_backward_error(classes, z), rel=1e-12), z
+        roots = find_roots(classes)
+        assert roots.reliable
+        errors = [exact_backward_error(classes, -delta) for delta in roots.roots]
+        assert max(errors) <= BACKWARD_TOL
+        assert abs(roots.residual - max(errors)) <= 4 * len(classes) * EPS
 
     def test_trailing_zero_classes_are_exact_zero_roots(self):
         # y^6 + 2y^5 - 5y^4 - 6y^3 = y^3 (y + 1)(y - 2)(y + 3): Chern roots 0, 0, 0, 1, -2, 3
@@ -123,18 +144,29 @@ class TestAberth:
     def test_large_roots_where_forward_horner_overflows(self):
         # (y + 1000)(y^149 + 1): z^150 leaves the float range for |z| > 113,
         # so near the root 10^3 the search has to evaluate in 1/z; the
-        # Chern roots are 1000 and the 149th roots of unity.  ``reliable``
-        # is left out: |P'| is about 10^447 at that root, so the residual,
-        # taken by forward Horner, is finite only where the root comes out
-        # exact to the last bit
+        # Chern roots are 1000 and the 149th roots of unity.  |P'| is about
+        # 10^447 at that root, so an absolute residual would read inf or nan
+        # unless the root came out exact to the last bit; the backward error
+        # scales with |z|^150 as |P| does
         classes = (1000,) + (0,) * 147 + (1, 1000)
         roots = find_roots(classes)
+        assert roots.reliable, roots.residual
         want = [1000.0] + [cmath.exp(2j * cmath.pi * k / 149) for k in range(149)]
         assert all(cmath.isfinite(delta) for delta in roots.roots)
         for delta in roots.roots:
             assert min(abs(delta - w) for w in want) <= 1e-12 * max(1.0, abs(delta)), delta
         for w in want:
             assert min(abs(delta - w) for delta in roots.roots) <= 1e-12 * max(1.0, abs(w)), w
+
+    @pytest.mark.parametrize("classes", [
+        (1000,) + (0,) * 147 + (1, 1000),
+        from_line_bundles((1000, -999) + (0,) * 148, 151),
+    ], ids=["root_1000_and_roots_of_unity", "line_bundles_1000_and_-999"])
+    def test_degree_150_roots_near_1000_read_reliable(self, classes):
+        # each read reliable or not by a root's last bit while an absolute
+        # residual decided it; the backward error is far below its limit
+        roots = find_roots(classes)
+        assert roots.reliable and roots.residual <= BACKWARD_TOL / 10, roots.residual
 
 
 class TestBinomialSumNumeric:
@@ -330,8 +362,8 @@ class TestAgreement:
             n = rng.randint(1, 8)
             coeffs = tuple(rng.randint(-10, 10) for _ in range(n))
             roots = find_roots(coeffs)
-            limit = RESIDUAL_SCALE * (1 + max(abs(c) for c in coeffs))
-            assert roots.reliable == (roots.residual <= limit)
+            assert roots.reliable == (roots.residual <= BACKWARD_TOL)
+            assert roots.reliable, coeffs
 
     def test_exact_verdict_matches_numeric_near_integrality(self):
         # on this box every denominator divides N! <= 720, so a failing
