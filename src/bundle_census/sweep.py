@@ -7,10 +7,10 @@ order and classifies each by the counting rule.  The bulk path,
 a chunk large; a box holds at most 2^62 tuples, so every index is an int64.
 Each range goes through two stages.  ``classify`` walks the range on
 Python ints, exact at any size, along its fastest varying class by exact
-forward differences, and applies the counting rule: verdicts as count
-codes 0 to 3, no text.
-``render`` writes them to bytes, every format alike: one ``%`` over the
-chunk's failing B_r, then one over its records.
+forward differences, and applies the counting rule: a key per tuple, its
+c_1 parity and failing B_r, and one list of its classes and B_r, no text.
+``render`` writes them to bytes, every format alike: one bytes ``%`` over
+a template per key, with every fixed word and one-value class written in.
 With more than one job the ranges are dealt round-robin to lanes: the
 calling process renders its own share and each worker lane, a bare
 ``os.fork`` child, streams its finished chunks down one raw pipe, each
@@ -331,18 +331,17 @@ class _Lane:
 class Verdicts(NamedTuple):
     """The classification of one index range of the box, before any text.
 
-    ``columns`` holds the stored classes, one list per class, and
-    ``counts`` the count code of each tuple: 0, 1, 2, or UNKNOWN (3).
-    ``failing`` gives the number of B_r of each tuple that are not
-    integers, and ``terms`` those B_r row-major, each tuple's in r order,
-    as flat triples r, num, den with B_r = num/den in lowest terms.
-    ``tally`` is the number of tuples of each code, 0 to UNKNOWN.
+    Each tuple's key in ``keys`` is bytes: c_1 mod 2 where the count reads
+    it, else 0, then 1 for each B_r, r = 3 to the order, that is not an
+    integer, else 0; its count code is ``rule.count(not any(key[1:]), key[0])``.
+    ``args`` holds, tuple by tuple, the classes of ``moving`` (those with more
+    than one value, or else the last), then the failing B_r's num and den in
+    lowest terms.  ``tally`` counts the tuples of each code, 0 to 3.
     """
 
-    columns: list
-    counts: list
-    failing: list
-    terms: list
+    moving: tuple
+    keys: list
+    args: list
     tally: tuple
 
 
@@ -370,8 +369,8 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     c_i: once D + 1 heads consecutive in c_i are known, each next one
     follows from the table of their backward differences (``_advance``).
     The other heads, after c_i wraps or at the range's start, take theirs
-    from the power sums (``_differences``).  Each A_r is then reduced by
-    r! (``_reduce``).
+    from the power sums (``_differences``).  B_r fails where A_r mod r!
+    is not zero, and a key per tuple records where.
     """
     rule = counting_rule(spec.rank, spec.dim)
     bounds, order = spec.bounds, rule.order or 1
@@ -394,15 +393,17 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     # A_r's differences in a head's point-major list: every m-th from r - 3
     cuts = [slice(r - 3, r - 3 + m * min(width, r // (j + 1) + 1), m) for r in orders]
     depth = order // (slower[0] + 1) if slower else 0
-    columns = [[] if i in moving else [lo] * size for i, (lo, _) in enumerate(bounds)]
+    columns = [[] for _ in moving]
+    parity, odd = [], rule.extension is not None  # c_1 & 1 where the count reads it
     values = [[] for _ in orders]  # A_r of every tuple, one list per r
     table, expect = [], None
     left = size
     while left:
         head = [lo + digit for (lo, _), digit in zip(bounds, digits)]
         run = min(radices[j] - digits[j], left)
-        for i in moving:
-            columns[i] += range(head[j], head[j] + run) if i == j else [head[i]] * run
+        for i, column in zip(moving, columns):
+            column += range(head[j], head[j] + run) if i == j else [head[i]] * run
+        parity += [head[0] & odd] * run if j else [c1 & odd for c1 in range(head[0], head[0] + run)]
         if m:
             if head == expect and len(table) > depth:
                 diffs = _advance(table)
@@ -421,34 +422,27 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
             digits[i] = (digits[i] + 1) % radices[i]
             if digits[i]:
                 break
-    failing, terms = _reduce(values, orders, size) if m else ([0] * size, [])
-    code = [rule.count(satisfied, c1) for satisfied in (False, True) for c1 in (0, 1)]
-    counts = [code[2 * (not n) + (c1 & 1)] for n, c1 in zip(failing, columns[0])]
-    tally = tuple(map(counts.count, range(UNKNOWN + 1)))
-    return Verdicts(columns, counts, failing, terms, tally)
-
-
-def _reduce(values: list, orders: range, size: int) -> tuple[list, list]:
-    """Each tuple's number of failing B_r, and those B_r as flat triples r, num, den.
-
-    ``values`` holds A_r = r! B_r of the ``size`` tuples, one list per r
-    of ``orders``.  B_r fails where A_r mod r! is not zero, and only there
-    takes a gcd.  The lists are laid out tuple-major, each tuple's A_r in
-    r order, so the failing B_r come out in the order ``Verdicts`` keeps.
-    """
-    m, orders = len(orders), list(orders)
-    flat, rests = [0] * (m * size), [0] * (m * size)
-    for i, r, column in zip(range(m), orders, values):
-        flat[i::m] = column
-        rests[i::m] = map(operator.mod, column, itertools.repeat(factorial(r)))
-    dens = list(itertools.compress(list(map(factorial, orders)) * size, rests))
-    gcds = list(map(gcd, filter(None, rests), dens))
-    terms = [0] * (3 * len(gcds))
-    terms[::3] = itertools.compress(orders * size, rests)
-    terms[1::3] = map(operator.floordiv, itertools.compress(flat, rests), gcds)
-    terms[2::3] = map(operator.floordiv, dens, gcds)
-    failing = [m - group.count(0) for group in zip(*[iter(rests)] * m)]
-    return failing, terms
+    # each tuple's key, a line of ``keys``, and tuple-major in ``flat`` its moving
+    # classes and every B_r's num and den, of which one compress keeps the failing
+    stride = len(moving) + 2 * m
+    keys = bytearray(b"\n") * ((m + 2) * size)
+    keys[::m + 2] = parity
+    flat, picks = [0] * (stride * size), [1] * (stride * size)
+    for i, column in enumerate(columns):
+        flat[i::stride] = column
+    for i, r, column in zip(range(len(moving), stride, 2), orders, values):
+        rest = list(map(operator.mod, column, itertools.repeat(factorial(r))))
+        keys[r - 2::m + 2] = map(bool, rest)
+        gcds = list(map(gcd, rest, itertools.repeat(factorial(r))))
+        flat[i::stride] = map(operator.floordiv, column, gcds)
+        flat[i + 1::stride] = map(operator.floordiv, itertools.repeat(factorial(r)), gcds)
+        picks[i::stride] = picks[i + 1::stride] = rest
+    keys, tally = bytes(keys), [0] * (UNKNOWN + 1)
+    for c1 in (0, 1):  # the keys failing no B_r, each counted as itself and a newline
+        tally[rule.count(True, c1)] += keys.count(bytes([c1, *[0] * m]) + b"\n")
+    tally[0] = size - sum(tally[1:])
+    args = list(itertools.compress(flat, picks))
+    return Verdicts(tuple(moving), keys.split(b"\n")[:-1], args, tuple(tally))
 
 
 def _differences(head: list, j: int, width: int, rows: list, order: int) -> list:
@@ -511,50 +505,55 @@ def _extend(diffs: list, n: int) -> Iterable[int]:
     return values
 
 
-# per format: a failing B_r's template, led by its one-character separator;
-# a record's, whose {fields} str.format fills per count and whose %s take the
-# classes and failing text; the words for an unknown count, and for no and yes
+# per format: a failing B_r's template, led by its one-character separator,
+# which % fills with r; the classes' separator; a record's template, which
+# str.format fills per key; the words for count codes 0 to 3, and for no and yes
 _FORMAT = {
-    "json": (',{"r":%d,"value":"%s/%s"}',
+    "json": (',{"r":%d,"value":"%%d/%%d"}', ",",
              '{{"classes":[{classes}],"count":{count},"regime":"{regime}",'
-             '"failing_r":[%s],"extension":{ext}}}\n',
-             "null", "false", "true"),
-    "csv": (";%d=%s/%s", "{classes},{count},{regime},%s,{ext}\n", "unknown", "false", "true"),
-    "table": (";%d=%s/%s", "{classes} {count:>7} {regime:<13} %-20s {ext}\n",
-              "unknown", "no", "yes"),
+             '"failing_r":[{failing}],"extension":{ext}}}\n',
+             ("0", "1", "2", "null"), ("false", "true")),
+    "csv": (";%d=%%d/%%d", ";", "{classes},{count},{regime},{failing},{ext}\n",
+            ("0", "1", "2", "unknown"), ("false", "true")),
+    "table": (";%d=%%d/%%d", ", ", "{classes} {count:>7} {regime:<13} {failing} {ext}\n",
+              ("0", "1", "2", "unknown"), ("no", "yes")),
 }
 
 
 def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
     """The records of a chunk's verdicts in ``fmt``, as bytes.
 
-    One ``%`` writes every failing B_r of the chunk.  Each tuple's terms,
-    none where it fails nowhere, open with a newline in place of their
-    first separator, so the text splits into one text per tuple.  A second
-    ``%`` fills the chunk's records, each the template of its count, with
-    every tuple's classes and failing text.
+    Each key has a template, its record with every word, one-value class
+    and failing r written in, and one bytes ``%`` over the chunk's
+    templates fills in its args.  The table first writes the texts it pads.
     """
-    columns, counts, failing, terms, _ = verdicts
-    term, record, unknown, no, yes = _FORMAT[fmt]
-    lead = {k: "\n" + (term * k)[1:] for k in set(failing)}
-    texts = ("".join(map(lead.__getitem__, failing)) % tuple(terms)).split("\n")[1:]
-    n = len(columns)
-    if fmt == "table":
-        columns, classes = [list(map(str, zip(*columns)))], f"%-{table_width(n)}s"
-    else:
-        classes = ("," if fmt == "json" else ";").join(["%s"] * n)
-    # beyond 53 bits a double-based JSON parser would silently round, so such
-    # a class is written as a string, the bytes json.dumps gives its digits;
-    # every class lies between the box's ends, so small ends make every class small
+    moving, keys, args, _ = verdicts
+    term, sep, record, counts, exts = _FORMAT[fmt]
+    rule = counting_rule(spec.rank, spec.dim)
+    terms = [term % r for r in range(3, (rule.order or 1) + 1)]
+    failing = {key: "".join(itertools.compress(terms, key[1:]))[1:] for key in dict.fromkeys(keys)}
+    classes = ["%d" if i in moving else str(lo) for i, (lo, _) in enumerate(spec.bounds)]
+    # a double-based JSON parser would round a class past 2^53 - 1, so such a
+    # class is a string; every class lies between the box's ends
     if fmt == "json" and spec.max_abs() > _SAFE_JSON_INT:
-        columns = [[c if abs(c) <= _SAFE_JSON_INT else f'"{c}"' for c in col] for col in columns]
-    regime = counting_rule(spec.rank, spec.dim).regime
-    records = {c: record.format(classes=classes, count=unknown if c == UNKNOWN else c,
-                                regime=regime, ext=yes if c == 2 else no)
-               for c in set(counts)}
-    args = itertools.chain.from_iterable(zip(*columns, texts))
-    text = "".join(map(records.__getitem__, counts)) % tuple(args)
-    return text.encode()
+        quote = [b"%d", b'"%d"']  # by whether the class is past 2^53 - 1
+        classes = ["%s" if i in moving else (quote[abs(lo) > _SAFE_JSON_INT] % lo).decode()
+                   for i, (lo, _) in enumerate(spec.bounds)]
+        marks = {key: [True] * len(moving) + [False] * 2 * sum(key[1:]) for key in failing}
+        flags = itertools.chain.from_iterable(map(marks.__getitem__, keys))
+        args = [quote[abs(a) > _SAFE_JSON_INT] % a if mark else a for a, mark in zip(args, flags)]
+    classes = sep.join(classes)
+    if fmt == "table":
+        lead = {key: f"\n({classes}{',' * (len(spec.bounds) == 1)})\n{text}".encode()
+                for key, text in failing.items()}
+        args = (b"".join(map(lead.__getitem__, keys)) % tuple(args)).split(b"\n")[1:]
+        classes, failing = f"%-{table_width(len(spec.bounds))}s", dict.fromkeys(failing, "%-20s")
+    templates = {}
+    for key, text in failing.items():
+        c = rule.count(not any(key[1:]), key[0])
+        templates[key] = record.format(classes=classes, count=counts[c], regime=rule.regime,
+                                       failing=text, ext=exts[c == 2]).encode()
+    return b"".join(map(templates.__getitem__, keys)) % tuple(args)
 
 
 def table_width(n_classes: int) -> int:

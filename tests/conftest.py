@@ -1,7 +1,10 @@
+import itertools
 import os
 from pathlib import Path
 
 from hypothesis import settings
+
+from bundle_census.counting import counting_rule
 
 # property tests do exact bignum work whose per-example time varies wildly
 # with the drawn magnitudes; wall-clock deadlines only add flakiness
@@ -23,3 +26,22 @@ def child_env(extra=None):
     env.update(extra or {})
     return env
 
+
+def verdict_rows(spec, verdicts):
+    """(classes, count code, failing (r, num, den)) of each tuple of a chunk's ``Verdicts``.
+
+    Read back from its keys and its argument list: each tuple's moving
+    classes, then num and den of each B_r its key marks as failing; the
+    other classes are the one value of their interval.
+    """
+    rule = counting_rule(spec.rank, spec.dim)
+    cells = iter(verdicts.args)
+    rows = []
+    for key in verdicts.keys:
+        classes = [lo for lo, _ in spec.bounds]
+        for i in verdicts.moving:
+            classes[i] = next(cells)
+        terms = [(r, next(cells), next(cells)) for r, fails in zip(itertools.count(3), key[1:]) if fails]
+        rows.append((tuple(classes), rule.count(not any(key[1:]), key[0]), terms))
+    assert next(cells, None) is None, "arguments left over"
+    return rows

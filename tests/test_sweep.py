@@ -14,7 +14,6 @@ import contextlib
 import csv
 import fcntl
 import io
-import itertools
 import json
 import os
 import signal
@@ -33,7 +32,7 @@ from bundle_census.chern import ChernVector
 from bundle_census.counting import UNKNOWN, counting_rule
 from bundle_census.enumeration import count_bundles
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
-from conftest import child_env
+from conftest import child_env, verdict_rows
 from oracles import schwarz_terms_companion
 
 
@@ -138,12 +137,10 @@ def test_verdicts_match_count_bundles(box, chunk, monkeypatch):
     size = sweep.chunk_tuples(spec)
     got = []
     for start in range(0, spec.tuple_count(), size):
-        columns, counts, failing, terms, chunk_tally = sweep.classify(spec, start, start + size)
-        assert chunk_tally == tally(counts)
-        cells = zip(terms[::3], terms[1::3], terms[2::3])
-        got += [(classes, count, list(itertools.islice(cells, k)))
-                for classes, count, k in zip(zip(*columns), counts, failing)]
-        assert next(cells, None) is None
+        verdicts = sweep.classify(spec, start, start + size)
+        rows = verdict_rows(spec, verdicts)
+        assert verdicts.tally == tally([count for _, count, _ in rows])
+        got += rows
     want = []
     for classes, result in zip(iter_box(bounds), run_sweep(spec)):
         failing = result.report.failing() if result.report else ()
@@ -255,9 +252,8 @@ def walked_terms(spec, size):
     """(classes, failing B_r) of every tuple of the box, classified in ranges of ``size``."""
     got = []
     for start in range(0, spec.tuple_count(), size):
-        columns, _, failing, terms, _ = sweep.classify(spec, start, start + size)
-        cells = zip(terms[::3], terms[1::3], terms[2::3])
-        got += [(classes, list(itertools.islice(cells, k))) for classes, k in zip(zip(*columns), failing)]
+        rows = verdict_rows(spec, sweep.classify(spec, start, start + size))
+        got += [(classes, terms) for classes, _, terms in rows]
     return got
 
 
@@ -354,9 +350,31 @@ def test_chunk_size_at_the_order_cap_on_long_classes_is_quick():
 
 def test_sweep_at_the_order_cap_holds_one_tuple_per_chunk():
     bounds = ((0, 2),) + ((3, 3), (-3, -3)) * 199  # 399 classes, 3 tuples
-    chunks = list(sweep_chunks(SweepSpec(399, 400, bounds), "csv"))
+    spec = SweepSpec(399, 400, bounds)
+    chunks = list(sweep_chunks(spec, "csv"))
     assert [sum(chunk.tally) for chunk in chunks] == [1, 1, 1]
     assert [chunk.data.count(b"\n") for chunk in chunks] == [1, 1, 1]
+    # 398 one-value classes and keys of 398 flags: the largest templates a sweep builds
+    records, _ = reference_records(399, 400, bounds, "json")
+    assert b"".join(chunk.data for chunk in sweep_chunks(spec, "json")) == records
+
+
+# rank 4 on CP^5: the failing text of (-3, 3, 0, 0), (-3, 3, 2, 0) and
+# (-3, 2, 1, 0) is 19, 20 and 21 characters long, about the table's padding to 20
+PADDING_BOX = (4, 5, ((-3, -3), (2, 3), (0, 2), (0, 0)))
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_table_pads_failing_text_of_19_to_21_characters(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(sweep, "CHUNK", chunk)
+    rank, dim, bounds = PADDING_BOX
+    pairs = list(zip(iter_box(bounds), run_sweep(SweepSpec(rank, dim, bounds))))
+    texts = {classes: ";".join(f"{t.r}={t.value}" for t in result.report.failing())
+             for classes, result in pairs}
+    assert [len(texts[c]) for c in ((-3, 3, 0, 0), (-3, 3, 2, 0), (-3, 2, 1, 0))] == [19, 20, 21]
+    got, _ = swept(SweepSpec(rank, dim, bounds), "table")
+    assert got == render_reference(pairs, len(bounds), "table")
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
@@ -381,7 +399,7 @@ def test_decodes_indices_past_int64(fmt):
                          ids=["past_the_end", "at_the_end", "reversed"])
 def test_range_outside_the_box_is_an_empty_chunk(start, stop):
     spec = SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)  # 29,791 tuples
-    assert sweep.classify(spec, start, stop) == sweep.Verdicts([[]] * 6, [], [], [], (0, 0, 0, 0))
+    assert sweep.classify(spec, start, stop) == sweep.Verdicts((0, 1, 2), [], [], (0, 0, 0, 0))
     for fmt in sweep.FORMATS:
         assert sweep.render_chunk(spec, fmt, start, stop) == sweep.Chunk(b"", (0, 0, 0, 0))
 
