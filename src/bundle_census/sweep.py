@@ -544,9 +544,9 @@ def render(spec: SweepSpec, fmt: str, verdicts: Verdicts) -> bytes:
         args = [quote[abs(a) > _SAFE_JSON_INT] % a if mark else a for a, mark in zip(args, flags)]
     classes = sep.join(classes)
     if fmt == "table":
-        lead = {key: f"\n({classes}{',' * (len(spec.bounds) == 1)})\n{text}".encode()
-                for key, text in failing.items()}
-        args = (b"".join(map(lead.__getitem__, keys)) % tuple(args)).split(b"\n")[1:]
+        padded = {key: f"\n({classes}{',' * (len(spec.bounds) == 1)})\n{text}".encode()
+                  for key, text in failing.items()}
+        args = (b"".join(map(padded.__getitem__, keys)) % tuple(args)).split(b"\n")[1:]
         classes, failing = f"%-{table_width(len(spec.bounds))}s", dict.fromkeys(failing, "%-20s")
     templates = {}
     for key, text in failing.items():
