@@ -2,36 +2,38 @@
 
 Machine-readable output goes to stdout, diagnostics to stderr; ``sweep``
 parses and admits its box and leaves all its output to ``sweep.write``.
+``parse_argv`` reads argv by one table, ``COMMANDS``: ``--opt value`` or
+``--opt=value``, the value verbatim (``--classes -1,2`` reads as typed), each
+option spelled in full, a repeated option's last value kept.
 Each command imports only the modules it runs: ``check`` and ``count``
 import the single-tuple API (``chern``, ``enumeration``) in their handlers,
 ``diagnose`` only the floating-point ``oracle``, which reads its exact B_r
-from ``kernels``, and ``sweep`` and ``--version`` none of them.
+from ``kernels``, ``sweep`` only ``sweep``, and ``--version`` none of them.
 Exit codes: 0 success / condition satisfied, 1 condition failed,
 exact-numeric disagreement or a sweep worker lane that died before its last
-chunk (one ``error:`` line, no traceback), 2 usage error, including a
-condition order above MAX_ORDER and classes whose B_r Python might not print.
+chunk (one ``error:`` line, no traceback), 2 usage error (one ``error:``
+line, nothing on stdout), including a condition order above MAX_ORDER and
+classes whose B_r Python might not print.
 
 ``run`` is the console entry point: it calls ``main``, flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
 teardown, which costs more than a ``check`` does.  ``main`` returns its
-exit code and is safe to call in-process.
+exit code, for ``--help`` and ``--version`` too, and is safe to call in-process.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from contextlib import suppress
+from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
-from . import __version__, kernels, sweep
+from . import __version__, kernels
 from .counting import counting_rule
-from .sweep import DEFAULT_MAX_TUPLES, FORMATS, MAX_JOBS, LaneDied, SweepSpec, parse_bounds
-from .sweep import run_sweep  # noqa: F401  the traced benchmark run wraps cli.run_sweep
 
-
+PROG = "bundle-census"
 # largest condition order S_N a command runs: the memoized Stirling triangle
 # up to S_400 holds about 22 MB
 MAX_ORDER = 400
@@ -58,11 +60,9 @@ def _admit(order: Optional[int], classes: Sequence[int]) -> None:
     # below 2^bits <= 10^digits, bits = floor(digits log2 10), without computing 10^digits
     bits = int(digits * math.log2(10))
     if digits and kernels.certificate_bits(order, max_abs, bits) > bits:
-        raise UsageError(
-            f"B_r of S_{order} on classes of up to {max_abs.bit_length()} bits may pass "
-            f"Python's limit of {digits} digits for printing an integer; "
-            "set PYTHONINTMAXSTRDIGITS to raise it"
-        )
+        raise UsageError(f"B_r of S_{order} on classes of up to {max_abs.bit_length()} bits "
+                         f"may pass Python's limit of {digits} digits for printing an integer; "
+                         "set PYTHONINTMAXSTRDIGITS to raise it")
 
 
 def _digit_limit() -> int:
@@ -88,50 +88,6 @@ def parse_classes(text: str) -> tuple[int, ...]:
         raise UsageError(f"--classes expects comma-separated integers, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no abbreviated options: _merge_value_flags rewrites only the full
-    # spellings, so an abbreviation would lose a leading minus sign
-    parser = argparse.ArgumentParser(
-        prog="bundle-census",
-        allow_abbrev=False,
-        description=(
-            "Decide which integer tuples occur as Chern classes of complex "
-            "bundles on projective spaces, and count the isomorphism classes."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="test the integrality condition S_N", allow_abbrev=False)
-    p_check.add_argument("--classes", required=True, help="comma-separated integers c_1,...,c_N")
-    p_check.add_argument("--N", type=int, default=None,
-                         help="condition order (default: number of classes)")
-
-    p_count = sub.add_parser("count", help="count isomorphism classes for one tuple",
-                             allow_abbrev=False)
-    p_count.add_argument("--rank", type=int, required=True)
-    p_count.add_argument("--dim", type=int, required=True)
-    p_count.add_argument("--classes", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="classify every tuple in a box", allow_abbrev=False)
-    p_sweep.add_argument("--rank", type=int, required=True)
-    p_sweep.add_argument("--dim", type=int, required=True)
-    p_sweep.add_argument("--bounds", required=True,
-                         help='one interval per class: "lo:hi,lo:hi,..."')
-    p_sweep.add_argument("--format", choices=FORMATS, default="table")
-    p_sweep.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES,
-                         help="the most tuples a box may hold (default: %(default)s)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help=f"lanes, 1 to {MAX_JOBS}: this process and N-1 worker processes")
-
-    p_diag = sub.add_parser("diagnose", help="exact vs numeric values side by side",
-                            allow_abbrev=False)
-    p_diag.add_argument("--classes", required=True)
-    p_diag.add_argument("--N", type=int, default=None)
-
-    return parser
-
-
 def _condition_input(args) -> tuple[tuple[int, ...], int]:
     """The classes and order N of ``check`` and ``diagnose``, refused if unusable."""
     classes = parse_classes(args.classes)
@@ -139,10 +95,8 @@ def _condition_input(args) -> tuple[tuple[int, ...], int]:
     if N < 1:
         raise UsageError(f"--N must be >= 1, got {N}")
     if len(classes) != N:
-        raise UsageError(
-            f"S_{N} needs exactly {N} classes, got {len(classes)}; "
-            "pad with explicit zeros if your rank is smaller"
-        )
+        raise UsageError(f"S_{N} needs exactly {N} classes, got {len(classes)}; "
+                         "pad with explicit zeros if your rank is smaller")
     _admit(N, classes)
     return classes, N
 
@@ -184,18 +138,23 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweep
+
+    if args.format not in sweep.FORMATS:
+        raise UsageError(f"--format must be one of {', '.join(sweep.FORMATS)}, "
+                         f"got {args.format!r}")
     try:  # an oversize box too, before any output
-        spec = SweepSpec(
-            rank=args.rank,
-            dim=args.dim,
-            bounds=parse_bounds(_readable("--bounds", args.bounds)),
-            jobs=args.jobs,
-            max_tuples=args.max_tuples,
-        )
+        spec = sweep.SweepSpec(args.rank, args.dim,
+                               sweep.parse_bounds(_readable("--bounds", args.bounds)),
+                               jobs=args.jobs, max_tuples=args.max_tuples)
     except ValueError as exc:
         raise UsageError(str(exc))
     _admit(counting_rule(spec.rank, spec.dim).order, [spec.max_abs()])
-    sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
+    try:
+        sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
+    except sweep.LaneDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -226,58 +185,111 @@ def cmd_diagnose(args) -> int:
     return 1 if failed else 0
 
 
-def _merge_value_flags(argv: Sequence[str]) -> list[str]:
-    # "--classes -1,2" parses as a flag followed by an unknown option;
-    # rewrite to "--classes=-1,2" so leading minus signs survive argparse
-    merged, rest = [], iter(argv)
+REQUIRED = object()  # the default of an option that must be given
+CONDITION = {
+    "--classes": (str, REQUIRED, "comma-separated integers c_1,...,c_N"),
+    "--N": (int, None, "condition order (default: the number of classes)"),
+}
+# per command: handler, help line, and per option its type (int, or str for text), its
+# default or REQUIRED and help line; sweep's limits are copies, so only sweep imports sweep
+COMMANDS = {
+    "check": (cmd_check, "test the integrality condition S_N", CONDITION),
+    "count": (cmd_count, "count isomorphism classes for one tuple", {
+        "--rank": (int, REQUIRED, "rank of the bundle"),
+        "--dim": (int, REQUIRED, "dimension m of CP^m"),
+        "--classes": (str, REQUIRED, "comma-separated integers c_1,...,c_min(rank,dim)"),
+    }),
+    "sweep": (cmd_sweep, "classify every tuple in a box", {
+        "--rank": (int, REQUIRED, "rank of the bundles"),
+        "--dim": (int, REQUIRED, "dimension m of CP^m"),
+        "--bounds": (str, REQUIRED, 'one interval per class: "lo:hi,lo:hi,..."'),
+        "--format": (str, "table", "json, csv or table"),
+        "--max-tuples": (int, 10_000_000, "the most tuples a box may hold"),
+        "--jobs": (int, 1, "lanes, 1 to 16: this process and N-1 worker processes"),
+    }),
+    "diagnose": (cmd_diagnose, "exact vs numeric values side by side", CONDITION),
+}
+
+
+def usage(command: Optional[str] = None) -> str:
+    """The ``--help`` text of ``command``, or of the program."""
+    if command is None:
+        lines = [f"usage: {PROG} COMMAND [--OPTION VALUE ...] | --version | --help", "",
+                 f"commands ({PROG} COMMAND --help for its options):"]
+        lines += [f"  {name:<10}{summary}" for name, (_, summary, _) in COMMANDS.items()]
+    else:
+        _, summary, options = COMMANDS[command]
+        lines = [f"usage: {PROG} {command} [--OPTION VALUE ...]", "", summary, "", "options:"]
+        lines += [f"  {flag + (' INT' if kind is int else ' TEXT'):<18}{text}"
+                  + {None: "", REQUIRED: " (required)"}.get(default, f" (default: {default})")
+                  for flag, (kind, default, text) in options.items()]
+    return "\n".join(lines)
+
+
+def parse_argv(argv: Sequence[str]) -> tuple[Optional[str], object]:
+    """``(command, its options by attribute)``, read from argv by COMMANDS.
+
+    ``--help`` and ``--version``, first or after the command, give
+    ``(None, the text to print)``; any other departure raises UsageError.
+    """
+    if not argv or argv[0] not in (*COMMANDS, "-h", "--help", "--version"):
+        got = f", got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}){got}")
+    command = argv[0] if argv[0] in COMMANDS else None
+    options = COMMANDS[command][2] if command else {}
+    values = {flag: default for flag, (_, default, _) in options.items()}
+    rest = iter(argv[1:] if command else argv[:1])  # without a command, --help or --version
     for arg in rest:
-        value = next(rest, None) if arg in ("--classes", "--bounds") else None
-        merged.append(arg if value is None else f"{arg}={value}")
-    return merged
+        if arg in ("-h", "--help", "--version"):
+            return None, f"{PROG} {__version__}" if arg == "--version" else usage(command)
+        flag, joined, value = arg.partition("=")
+        if flag not in options:
+            raise UsageError(f"{command} has no option {flag}" if arg.startswith("-")
+                             else f"unexpected argument {arg!r}")
+        value = value if joined else next(rest, None)
+        if value is None or value == "--":
+            raise UsageError(f"{flag} expects a value")
+        try:
+            values[flag] = int(_readable(flag, value)) if options[flag][0] is int else value
+        except ValueError:
+            raise UsageError(f"{flag} expects an integer, got {value!r}")
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    return command, SimpleNamespace(**{flag[2:].replace("-", "_"): value
+                                       for flag, value in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_value_flags(argv))
-    # argparse in Python 3.11 and earlier stores [] for an option given "--"
-    # as its value, bypassing the option's type
-    dashed = [name for name, value in vars(args).items() if value == []]
-    if dashed:
-        parser.error(f"argument --{dashed[0].replace('_', '-')}: expected one argument")
-    handler = {
-        "check": cmd_check,
-        "count": cmd_count,
-        "sweep": cmd_sweep,
-        "diagnose": cmd_diagnose,
-    }[args.command]
     try:
-        return handler(args)
+        command, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(args)
+            return 0
+        return COMMANDS[command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LaneDied as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:  # a sweep's reader closed (e.g. piped into head)
         return 0
+
+
+def __getattr__(name: str):
+    """``sweep.run_sweep``, imported on first use: the traced benchmark run wraps it here."""
+    if name != "run_sweep":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .sweep import run_sweep
+
+    return run_sweep
 
 
 def run() -> NoReturn:
     """Run ``main`` on ``sys.argv`` and exit with its code, without interpreter teardown.
 
-    argparse's exit (``--help``, ``--version``, a usage error) gives its
-    code too; any other exception escapes with its traceback, as from a
-    plain script.  A reader of stdout or stderr that has gone loses what
-    is still buffered, silently, and the exit code stays the command's.
+    A reader of stdout or stderr that has gone loses what is still
+    buffered, silently, and the exit code stays the command's.
     """
-    try:
-        code = main()
-    except SystemExit as exc:
-        if exc.code is not None and not isinstance(exc.code, int):
-            raise
-        code = exc.code or 0
+    code = main()
     for stream in filter(None, (sys.stdout, sys.stderr)):
         with suppress(BrokenPipeError):
             stream.flush()

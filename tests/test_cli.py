@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bundle_census
 from bundle_census import cli, sweep
 from bundle_census.sweep import (
     MAX_JOBS,
@@ -279,17 +280,18 @@ class TestDiagnoseCommand:
 
 
 # run in a fresh interpreter: cli.main on argv, then which of PROBED it
-# loaded, as the last line of stderr; ``patch`` runs before cli is imported
+# loaded, as the last line of stderr; ``patch`` runs before cli is imported.
+# cli.main returns on every argv, --version and --help included
 STARTUP_PROBE = """
-import contextlib, json, sys
+import json, sys
 {patch}
 from bundle_census import cli
-with contextlib.suppress(SystemExit):  # --version exits through argparse
-    cli.main(sys.argv[1:])
+cli.main(sys.argv[1:])
 print(json.dumps([name in sys.modules for name in {probed}]), file=sys.stderr)
 """
 PROBED = ("numpy", "multiprocessing", "dataclasses", "inspect", "fractions",
-          "bundle_census.enumeration", "bundle_census.oracle")
+          "bundle_census.enumeration", "bundle_census.oracle", "argparse",
+          "bundle_census.sweep")
 
 
 def probe_startup(argv, patch="", env=None):
@@ -309,29 +311,32 @@ BIG_BOUNDS = ("--bounds=10000000000000000000000000:10000000000000000000000040,"
 class TestStartUp:
     """Each command loads only what it runs.
 
-    numpy and multiprocessing never load.  The single-tuple API
+    numpy, multiprocessing and argparse never load.  The single-tuple API
     (``enumeration``, with its dataclasses, which import ``inspect``, and
     its Fractions) loads on ``check`` and ``count`` only.  The
     floating-point oracle loads on ``diagnose`` only, with Fractions and
-    none of the single-tuple API.
+    none of the single-tuple API.  The sweep module loads on ``sweep`` only.
     """
 
     # per argv, whether each of PROBED loads: numpy, multiprocessing,
-    # dataclasses, inspect, fractions, bundle_census.enumeration, bundle_census.oracle
+    # dataclasses, inspect, fractions, bundle_census.enumeration,
+    # bundle_census.oracle, argparse, bundle_census.sweep
     @pytest.mark.parametrize("argv, loaded", [
-        (["--version"], [False, False, False, False, False, False, False]),
-        (["check", "--classes", "5,6,0"], [False, False, True, True, True, True, False]),
+        (["--version"], [False, False, False, False, False, False, False, False, False]),
+        (["check", "--classes", "5,6,0"],
+         [False, False, True, True, True, True, False, False, False]),
         (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"],
-         [False, False, True, True, True, True, False]),
-        (["diagnose", "--classes", "5,6,0"], [False, False, False, False, True, False, True]),
+         [False, False, True, True, True, True, False, False, False]),
+        (["diagnose", "--classes", "5,6,0"],
+         [False, False, False, False, True, False, True, False, False]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"],
-         [False, False, False, False, False, False, False]),
+         [False, False, False, False, False, False, False, False, True]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds=-150:150,-150:150", "--jobs", "2"],
-         [False, False, False, False, False, False, False]),
+         [False, False, False, False, False, False, False, False, True]),
         (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "1"],
-         [False, False, False, False, False, False, False]),
+         [False, False, False, False, False, False, False, False, True]),
         (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "2"],
-         [False, False, False, False, False, False, False]),
+         [False, False, False, False, False, False, False, False, True]),
     ], ids=["version", "check", "count", "diagnose", "sweep_one_job", "sweep_rank2_150_two_jobs",
             "sweep_python_ints_one_job", "sweep_python_ints_two_jobs"])
     def test_modules_loaded(self, argv, loaded):
@@ -359,7 +364,9 @@ class TestExitPath:
         (["--version"], 0),
         (["--help"], 0),
         (["check", "--N", "3"], 2),  # --classes is required
-    ], ids=["satisfied", "not_satisfied", "malformed_classes", "version", "help", "missing_option"])
+        ([], 2),
+    ], ids=["satisfied", "not_satisfied", "malformed_classes", "version", "help", "missing_option",
+            "no_command"])
     def test_exit_code(self, argv, code):
         proc = run_cli(*argv)
         assert proc.returncode == code, proc.stderr
@@ -516,6 +523,13 @@ class TestIntegersPastTheDigitLimit:
         assert "5000 digits" in proc.stderr and "limit of 4300 digits" in proc.stderr
         assert "PYTHONINTMAXSTRDIGITS" in proc.stderr
         assert len(proc.stderr) < 300
+
+    def test_an_int_option_names_the_limit(self):
+        proc = run_cli("count", "--rank", "9" * 4301, "--dim", "3", "--classes", "0,0", env=DIGITS)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: --rank holds an integer of 4301 digits (999999999999...), above Python's "
+            "limit of 4300 digits for reading an integer; set PYTHONINTMAXSTRDIGITS to raise it\n")
 
     def test_at_the_limit_reads(self):
         proc = run_cli("check", "--classes", f"-{'9' * 4300},0", env=DIGITS)
@@ -679,10 +693,7 @@ def run_main(argv):
     err = io.StringIO()
     with io.TextIOWrapper(io.BytesIO()) as out:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main(argv)  # returns on every argv: no SystemExit
         out.flush()
         return code, out.buffer.getvalue(), err.getvalue()
 
@@ -699,7 +710,7 @@ VALUE_FLAG = {
 @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
 @pytest.mark.parametrize("command", VALUE_FLAG)
 def test_double_dash_as_a_value_is_a_usage_error(command, joined):
-    # argparse in Python 3.11 hands "--" over as [] rather than as text
+    # "--" is refused as a value, so it never reads as "end of options"
     *argv, flag = VALUE_FLAG[command]
     argv += [f"{flag}=--"] if joined else [flag, "--"]
     code, out, err = run_main(argv)
@@ -718,6 +729,65 @@ def test_abbreviated_options_are_usage_errors(argv):
     assert code == 2 and out == b""
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
     assert run_main(["check", "--classes", "-1,2"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "expected a command (check, count, sweep, diagnose)"),
+    (["census"], "expected a command (check, count, sweep, diagnose), got 'census'"),
+    (["--classes", "1,2"], "expected a command (check, count, sweep, diagnose), got '--classes'"),
+    (["check", "--classes", "1,2", "--order", "2"], "check has no option --order"),
+    (["check", "--classes", "1,2", "--N"], "--N expects a value"),
+    (["check", "--classes", "1,2", "2"], "unexpected argument '2'"),
+    (["count", "--rank", "2", "--dim", "3", "0,0"], "unexpected argument '0,0'"),
+    (["count", "--rank", "2"], "count needs --dim, --classes"),
+    (["count", "--rank", "two", "--dim", "3", "--classes", "0,0"],
+     "--rank expects an integer, got 'two'"),
+    (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--format", "xml"],
+     "--format must be one of json, csv, table, got 'xml'"),
+], ids=["no_command", "unknown_command", "option_before_command", "unknown_option",
+        "missing_value_at_end", "stray_positional", "stray_classes", "missing_options",
+        "malformed_int", "unknown_format"])
+def test_usage_errors_are_one_line(argv, error):
+    assert run_main(argv) == (2, b"", f"error: {error}\n")
+
+
+def test_a_repeated_option_keeps_its_last_value():
+    last = run_main(["check", "--classes", "1,1,0", "--N", "3"])
+    assert last[0] == 1  # S_3 fails at B_3 = 1/2
+    assert run_main(["check", "--classes", "1,1,0", "--N", "2", "--N", "3"]) == last
+    assert run_main(["check", "--classes=0,0,0", "--N=2", "--classes", "1,1,0", "--N=3"]) == last
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS], ids=lambda command: command or "top")
+def test_help_goes_to_stdout(command, flag):
+    code, out, err = run_main([flag] if command is None else [command, flag])
+    assert (code, err) == (0, "")
+    text = out.decode()
+    assert text.startswith(f"usage: bundle-census {command or 'COMMAND'} ")
+    for name in cli.COMMANDS[command][2] if command else cli.COMMANDS:
+        assert f"  {name} " in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    *([command, "--version"] for command in cli.COMMANDS),
+    ["sweep", "--rank", "2", "--help"],
+], ids=["top", *(f"{command}_version" for command in cli.COMMANDS), "sweep_help_after_an_option"])
+def test_version_and_help_after_options(argv):
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, "") and out
+    if argv[-1] == "--version":
+        assert out == f"bundle-census {bundle_census.__version__}\n".encode()
+
+
+def test_option_table_copies_the_sweep_limits():
+    # written out in cli, so that only sweep imports the sweep module
+    options = cli.COMMANDS["sweep"][2]
+    assert options["--max-tuples"][1] == sweep.DEFAULT_MAX_TUPLES
+    assert f"1 to {MAX_JOBS}:" in options["--jobs"][2]
+    assert options["--format"][1] in sweep.FORMATS
+    assert options["--format"][2] == f"{', '.join(sweep.FORMATS[:-1])} or {sweep.FORMATS[-1]}"
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -781,5 +851,6 @@ def test_any_argv_exits_with_a_documented_code(data):
                 add_option(data, argv, flag, data.draw(st.sampled_from(values)))
     code, out, err = run_main(argv)
     assert code in (0, 1, 2), (argv, err)
-    if code == 2:  # usage errors come before any output
+    if code == 2:  # usage errors come before any output, as one line
         assert out == b"", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)

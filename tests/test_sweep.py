@@ -628,7 +628,7 @@ def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
     assert_no_child_left()
 
 
-# "xml" goes to sweep.write itself, since argparse refuses it before a sweep starts
+# "xml" goes to sweep.write itself, since the command line refuses it before a sweep starts
 OUTPUT_CASES = [(fmt, jobs) for jobs in (1, 2) for fmt in sweep.FORMATS] + [("xml", 1)]
 
 
