@@ -8,20 +8,18 @@ reaches these functions through ``kernels``.  The module imports nothing
 from the package, so it can be loaded on its own as a reference.
 
 All functions are pure and the only shared state is the memoized Stirling
-triangle, which is append-only and safe under the GIL.
+triangle, which only ever grows.
 """
 
 from __future__ import annotations
 
-import threading
 from math import factorial, gcd
 from typing import Sequence
 
 # Triangle of signed Stirling numbers of the first kind, row r holding
-# (s(r,0), ..., s(r,r)).  Grown on demand under a lock, rows immutable
-# once appended, so concurrent readers are safe.
-_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
-_STIRLING_LOCK = threading.Lock()
+# (s(r,0), ..., s(r,r)).  Grown on demand on a local copy and published by
+# one rebinding, so a reader, in any thread, always sees a correct prefix.
+_STIRLING_ROWS: tuple[tuple[int, ...], ...] = ((1,),)
 
 
 def stirling_row(r: int) -> tuple[int, ...]:
@@ -31,19 +29,17 @@ def stirling_row(r: int) -> tuple[int, ...]:
     x(x-1)...(x-r+1) = sum_k s(r,k) x^k, with the recurrence
     s(r,k) = s(r-1,k-1) - (r-1)*s(r-1,k) and s(0,0) = 1.
     """
+    global _STIRLING_ROWS
     if r < 0:
         raise ValueError(f"row index must be nonnegative, got {r}")
-    if len(_STIRLING_ROWS) <= r:
-        with _STIRLING_LOCK:
-            while len(_STIRLING_ROWS) <= r:
-                m = len(_STIRLING_ROWS)
-                prev = _STIRLING_ROWS[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    row[k] = prev[k - 1] - (m - 1) * (prev[k] if k <= m - 1 else 0)
-                row[0] = -(m - 1) * prev[0]
-                _STIRLING_ROWS.append(tuple(row))
-    return _STIRLING_ROWS[r]
+    rows = _STIRLING_ROWS
+    if len(rows) <= r:
+        grown = list(rows)
+        while len(grown) <= r:
+            m, prev = len(grown), grown[-1]
+            grown.append(tuple(a - (m - 1) * b for a, b in zip((0, *prev), (*prev, 0))))
+        rows = _STIRLING_ROWS = tuple(grown)
+    return rows[r]
 
 
 def stirling_first(r: int, k: int) -> int:
@@ -108,11 +104,7 @@ def schwarz_terms(coeffs: Sequence[int], N: int) -> list[tuple[int, int, int]]:
     if len(coeffs) != N:
         raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
     p = power_sums(coeffs, N)
-    out = []
-    for r in range(2, N + 1):
-        num, den = _reduce_weighted(stirling_row(r), p, r)
-        out.append((r, num, den))
-    return out
+    return [(r, *_reduce_weighted(stirling_row(r), p, r)) for r in range(2, N + 1)]
 
 
 def _reduce_weighted(srow: Sequence[int], p: Sequence[int], r: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Chern class data of bundles on CP^m.
 
-``ChernVector`` is the public representation of a bundle's class data.
+``ChernVector`` is the library's representation of a bundle's class
+data; the classes it stores are those of ``counting.stored_classes``.
 ``twist_by_line``, ``dual`` and ``from_line_bundles`` give the classes of
 the bundles built from it or from line bundles; the tests generate their
 inputs with them.
@@ -13,15 +14,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
+from .counting import stored_classes
+
 
 @dataclass(frozen=True)
 class ChernVector:
     """Chern classes (c_1, ..., c_n) of a rank-n bundle on CP^dim.
 
-    Only classes up to min(rank, dim) are stored: c_i = 0 for i > rank
-    because the bundle has no higher Chern classes, and for i > dim because
-    H^(2i)(CP^dim) vanishes.  A full rank-length tuple is accepted and its
-    vanishing tail dropped.
+    Only classes up to min(rank, dim) are stored, by the rule of
+    ``counting.stored_classes``: a full rank-length tuple is accepted and
+    its vanishing tail dropped.
     """
 
     rank: int
@@ -29,20 +31,7 @@ class ChernVector:
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.dim < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.dim}")
-        stored = min(self.rank, self.dim)
-        entries = tuple(operator.index(c) for c in self.classes)
-        if len(entries) == self.rank:
-            entries = entries[:stored]
-        elif len(entries) != stored:
-            raise ValueError(
-                f"expected {stored} classes for rank {self.rank} on CP^{self.dim}"
-                f" (or all {self.rank}), got {len(entries)}"
-            )
-        object.__setattr__(self, "classes", entries)
+        object.__setattr__(self, "classes", stored_classes(self.rank, self.dim, self.classes))
 
     def padded(self, length: int) -> tuple[int, ...]:
         """Classes zero-extended to the given length."""

@@ -6,9 +6,9 @@ parses and admits its box and leaves all its output to ``sweep.write``.
 ``--opt=value``, the value verbatim (``--classes -1,2`` reads as typed), each
 option spelled in full, a repeated option's last value kept.
 Each command imports only the modules it runs: ``check`` and ``count``
-import the single-tuple API (``chern``, ``enumeration``) in their handlers,
-``diagnose`` only the floating-point ``oracle``, which reads its exact B_r
-from ``kernels``, ``sweep`` only ``sweep``, and ``--version`` none of them.
+print ``kernels`` and ``counting`` without the single-tuple API (``chern``,
+``enumeration``), ``diagnose`` imports only the floating-point ``oracle``,
+``sweep`` only ``sweep``, and ``--version`` none of them.
 Exit codes: 0 success / condition satisfied, 1 condition failed,
 exact-numeric disagreement or a sweep worker lane that died before its last
 chunk (one ``error:`` line, no traceback), 2 usage error (one ``error:``
@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__, kernels
-from .counting import counting_rule
+from .counting import UNKNOWN, counting_rule, stored_classes, verdict
 
 PROG = "bundle-census"
 # largest condition order S_N a command runs: the memoized Stirling triangle
@@ -101,39 +101,42 @@ def _condition_input(args) -> tuple[tuple[int, ...], int]:
     return classes, N
 
 
-def cmd_check(args) -> int:
-    from .enumeration import check_schwarzenberger
+def _fraction(num: int, den: int) -> str:
+    """A reduced B_r as ``str(Fraction(num, den))`` prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
+
+def cmd_check(args) -> int:
     classes, N = _condition_input(args)
-    report = check_schwarzenberger(classes, N)
+    terms = kernels.schwarz_terms(classes, N)
+    satisfied = all(den == 1 for _, _, den in terms)
     # the verdict is the exit code, even when stdout's reader has gone
     with suppress(BrokenPipeError):
         print(f"S_{N} for classes {classes}")
-        for term in report.values:
-            verdict = "integral" if term.integral else "NOT integral"
-            print(f"  r = {term.r:<3d} B_r = {str(term.value):<12s} {verdict}")
-        print(f"S_{N} {'satisfied' if report.satisfied else 'not satisfied'}")
-    return 0 if report.satisfied else 1
+        for r, num, den in terms:
+            verdict = "integral" if den == 1 else "NOT integral"
+            print(f"  r = {r:<3d} B_r = {_fraction(num, den):<12s} {verdict}")
+        print(f"S_{N} {'satisfied' if satisfied else 'not satisfied'}")
+    return 0 if satisfied else 1
 
 
 def cmd_count(args) -> int:
-    from .chern import ChernVector
-    from .enumeration import count_bundles
-
-    try:
-        vector = ChernVector(args.rank, args.dim, parse_classes(args.classes))
+    rank, dim = args.rank, args.dim
+    try:  # --classes is read, and may be refused, first
+        classes = stored_classes(rank, dim, parse_classes(args.classes))
     except ValueError as exc:
         raise UsageError(str(exc))
-    _admit(counting_rule(vector.rank, vector.dim).order, vector.classes)
-    result = count_bundles(vector)
-    print(f"rank {vector.rank} bundle on CP^{vector.dim} with classes {vector.classes}")
-    print(f"count: {result.count if result.known else 'unknown'}")
-    print(f"regime: {result.regime}")
-    if result.count == 0 and result.report is not None:
-        for term in result.report.failing():
-            print(f"  fails at r = {term.r}: B_r = {term.value}")
-    if result.extension_note:
-        print(f"note: {result.extension_note}")
+    _admit(counting_rule(rank, dim).order, classes)
+    rule, count, terms, note = verdict(rank, dim, classes)
+    print(f"rank {rank} bundle on CP^{dim} with classes {classes}")
+    print(f"count: {'unknown' if count == UNKNOWN else count}")
+    print(f"regime: {rule.regime}")
+    if count == 0 and terms is not None:
+        for r, num, den in terms:
+            if den != 1:
+                print(f"  fails at r = {r}: B_r = {_fraction(num, den)}")
+    if note:
+        print(f"note: {note}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """The counting rule: how many isomorphism classes the Chern classes give.
 
-``counting_rule`` owns every verdict rule, for ``count_bundles`` and the
-sweep alike: it names the orders to test and gives each tuple a count code,
+``counting_rule`` owns every verdict rule, for ``count`` and the sweep
+alike: it names the orders to test and gives each tuple a count code,
 0, 1, 2 or UNKNOWN (3).  The count is known in full in three regimes:
 
 * rank 1: a unique line bundle for every first Chern class;
@@ -13,13 +13,17 @@ sweep alike: it names the orders to test and gives each tuple a count code,
 
 Everything else is honestly reported as unknown.
 
-The module imports nothing heavier than ``typing``, so a sweep, which
-needs the rule and none of the single-tuple API, loads it alone.
+``stored_classes`` and ``verdict``, which ``ChernVector`` and
+``count_bundles`` wrap, give ``count`` the whole answer for one tuple
+without the dataclasses and Fractions of the single-tuple API.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from operator import index
+from typing import NamedTuple, Optional, Sequence
+
+from . import kernels
 
 LINE_BUNDLE = "line_bundle"
 STABLE_RANGE = "stable_range"
@@ -70,3 +74,54 @@ def counting_rule(rank: int, dim: int) -> CountingRule:
         # two classes exactly when rank and c_1 are both even
         return CountingRule(CORANK_ONE, rank + 1, rank + 2 if rank % 2 == 0 else None)
     return CountingRule(UNSUPPORTED, order=None)
+
+
+def stored_classes(rank: int, dim: int, classes: Sequence[int]) -> tuple[int, ...]:
+    """The min(rank, dim) classes stored of ``classes``, or all ``rank`` less their tail.
+
+    c_i = 0 for i > rank (no higher Chern classes) and for i > dim
+    (H^(2i)(CP^dim) vanishes).  Any other length raises ValueError.
+    """
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if dim < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {dim}")
+    stored = min(rank, dim)
+    entries = tuple(map(index, classes))
+    if len(entries) == rank:
+        return entries[:stored]
+    if len(entries) != stored:
+        raise ValueError(
+            f"expected {stored} classes for rank {rank} on CP^{dim}"
+            f" (or all {rank}), got {len(entries)}"
+        )
+    return entries
+
+
+def verdict(rank: int, dim: int, classes: tuple[int, ...]
+            ) -> tuple[CountingRule, int, Optional[list[tuple[int, int, int]]], Optional[str]]:
+    """``(rule, count code, S_order terms, extension note)`` for the stored ``classes``.
+
+    The terms are ``kernels.schwarz_terms`` on the zero-extended classes,
+    None when no condition is tested.  The note, set exactly when two
+    classes exist, carries the paper's claim that exactly one of them
+    extends to CP^(dim+1), or names the r at which S_(rank+2) refutes it.
+    """
+    rule = counting_rule(rank, dim)
+    terms = None
+    if rule.order is not None:
+        terms = kernels.schwarz_terms(classes + (0,) * (rule.order - len(classes)), rule.order)
+    count = rule.count(terms is None or all(den == 1 for _, _, den in terms), classes[0])
+    note = None
+    if count == 2:
+        # a bundle on CP^(dim+1) has c_(n+1) = c_(n+2) = 0 and restricts to one
+        # with the same c_1..c_n, so either class extends only if S_(n+2) holds
+        # on (c, 0, 0).  S_(n+1) holds on (c, 0), and a further zero root adds
+        # C(0, r) = 0 to each B_r, so only B_(n+2) can fail.  Only r is named,
+        # since the digit cap admits S_(n+1) only
+        N = rule.extension
+        note = f"exactly one of the two isomorphism classes extends to CP^{dim + 1}"
+        if kernels.binomial_sum_num_den(classes, N)[1] != 1:
+            note = (f"neither of the two isomorphism classes extends to CP^{dim + 1}: "
+                    f"S_{N} fails at r = {N} with c_{N - 1} = c_{N} = 0")
+    return rule, count, terms, note

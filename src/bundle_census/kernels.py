@@ -1,7 +1,8 @@
 """The exact arithmetic kernels the library calls.
 
 Re-exports the kernels of ``_kernels_py``, all on Python ints, and adds
-the certificate that bounds every value they form.  A sweep runs on the
+the certificate that bounds every value they form and ``coefficients``,
+which reads class data as the kernels take it.  A sweep runs on the
 power sums and Stirling rows, a single tuple on ``schwarz_terms``.
 Callers look the functions up as attributes of this module
 (``kernels.schwarz_terms``), so a profiler or test can wrap one in a
@@ -9,6 +10,8 @@ single place.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from ._kernels_py import (
     binomial_sum_num_den,
@@ -19,18 +22,25 @@ from ._kernels_py import (
 )
 
 __all__ = [
-    "INT64_LIMIT",
     "backend_name",
     "binomial_sum_num_den",
     "certificate_bits",
+    "coefficients",
     "power_sums",
     "schwarz_terms",
     "stirling_first",
     "stirling_row",
 ]
 
-# a sweep box holds at most this many tuples, so every linear index is an int64
-INT64_LIMIT = 2**62
+
+def coefficients(c) -> tuple[int, ...]:
+    """Monic-polynomial coefficients (c_1, ..., c_n) of class data.
+
+    A ChernVector gives its ``full_classes``, zeros restored; a plain
+    sequence is taken as-is.
+    """
+    full = getattr(c, "full_classes", None)
+    return full if full is not None else tuple(map(index, c))
 
 
 def backend_name() -> str:

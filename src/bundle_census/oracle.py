@@ -28,7 +28,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, index, mul
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import kernels
@@ -99,29 +99,13 @@ class AgreementRow(NamedTuple):
 
 
 def __getattr__(name: str):
-    """``enumeration.binomial_sum`` and ``check_schwarzenberger``, imported on first use.
-
-    Both stay reachable here by name, while ``diagnose``, which calls
-    neither, loads no part of the single-tuple API.
-    """
-    if name == "binomial_sum":
-        from .enumeration import binomial_sum as value
-    elif name == "check_schwarzenberger":
-        from .enumeration import check_schwarzenberger as value
-    else:
+    """``enumeration.binomial_sum``, imported on first use, so ``diagnose`` loads none of it."""
+    if name != "binomial_sum":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .enumeration import binomial_sum as value
+
     globals()[name] = value
     return value
-
-
-def _coefficients(c: ClassData) -> tuple[int, ...]:
-    """(c_1, ..., c_n) as ``enumeration.coefficients`` gives them, without importing it.
-
-    A ChernVector is read through its ``full_classes``; a plain sequence
-    is taken as-is.
-    """
-    full = getattr(c, "full_classes", None)
-    return full if full is not None else tuple(map(index, c))
 
 
 def find_roots(c: ClassData) -> NumericRoots:
@@ -134,7 +118,7 @@ def find_roots(c: ClassData) -> NumericRoots:
     the factor y^k of the zero roots does not change.  Non-convergence is
     reported through the ``reliable`` flag, never as a silent answer.
     """
-    coeffs = _coefficients(c)
+    coeffs = kernels.coefficients(c)
     n = len(coeffs)
     if n < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -332,7 +316,7 @@ def compare_exact_numeric(c: ClassData, r_values: Sequence[int]) -> tuple[Numeri
     r_values = list(r_values)
     if any(r < 1 for r in r_values):
         raise ValueError(f"need r >= 1, got {min(r_values)}")
-    coeffs = _coefficients(c)
+    coeffs = kernels.coefficients(c)
     roots = find_roots(coeffs)
     # every B_r with 2 <= r <= n from one pass over the power sums
     terms = {r: Fraction(num, den) for r, num, den in kernels.schwarz_terms(coeffs, len(coeffs))}

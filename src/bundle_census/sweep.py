@@ -4,7 +4,7 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
-a chunk large; a box holds at most 2^62 tuples, so every index is an int64.
+a chunk large; a box holds at most INT64_LIMIT = 2^62 tuples.
 Each range goes through two stages.  ``classify`` walks the range on
 Python ints, exact at any size, along its fastest varying class by exact
 forward differences, and applies the counting rule: a key per tuple, its
@@ -41,6 +41,9 @@ if TYPE_CHECKING:
     from .enumeration import BundleCount
 
 DEFAULT_MAX_TUPLES = 10_000_000
+# the most tuples a box holds, whatever its cap: sweep_chunks takes len() of its
+# range of chunk starts, which must stay below sys.maxsize at one tuple a chunk
+INT64_LIMIT = 2**62
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
@@ -82,7 +85,7 @@ class SweepSpec(_SweepFields):
     """A sweep request: one inclusive integer interval per stored class.
 
     Construction raises BoxTooLarge if the box holds over ``max_tuples``
-    tuples, or over 2^62, past which an index would leave int64, whatever the cap.
+    tuples, or over INT64_LIMIT, whatever the cap.
     """
 
     __slots__ = ()
@@ -105,7 +108,7 @@ class SweepSpec(_SweepFields):
         if self.max_tuples < 1:
             raise ValueError(f"max_tuples must be >= 1, got {self.max_tuples}")
         total = self.tuple_count()
-        if total > kernels.INT64_LIMIT:
+        if total > INT64_LIMIT:
             raise BoxTooLarge(f"box holds {total} tuples, above the 2^62 a sweep can index")
         if total > self.max_tuples:
             raise BoxTooLarge(

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bundle_census
-from bundle_census import cli, sweep
+from bundle_census import (
+    ChernVector,
+    check_schwarzenberger,
+    cli,
+    count_bundles,
+    elementary_symmetric,
+    sweep,
+)
 from bundle_census.sweep import (
     MAX_JOBS,
     BoxTooLarge,
@@ -107,6 +114,74 @@ class TestCountCommand:
     def test_wrong_class_count(self):
         proc = run_cli("count", "--rank", "2", "--dim", "3", "--classes", "1,2,3,4")
         assert proc.returncode == 2
+
+
+# the CLI prints from ``counting`` and ``kernels`` directly; these render the
+# same lines from the dataclass API, so that the two cannot drift apart
+def count_text(rank, dim, classes):
+    v = ChernVector(rank, dim, classes)
+    result = count_bundles(v)
+    lines = [f"rank {rank} bundle on CP^{dim} with classes {v.classes}",
+             f"count: {result.count if result.known else 'unknown'}",
+             f"regime: {result.regime}"]
+    if result.count == 0 and result.report is not None:
+        lines += [f"  fails at r = {t.r}: B_r = {t.value}" for t in result.report.failing()]
+    if result.extension_note:
+        lines.append(f"note: {result.extension_note}")
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def check_text(classes, N):
+    report = check_schwarzenberger(classes, N)
+    lines = [f"S_{N} for classes {tuple(classes)}"]
+    lines += [f"  r = {t.r:<3d} B_r = {str(t.value):<12s} "
+              f"{'integral' if t.integral else 'NOT integral'}" for t in report.values]
+    lines.append(f"S_{N} {'satisfied' if report.satisfied else 'not satisfied'}")
+    return "".join(line + "\n" for line in lines).encode(), 0 if report.satisfied else 1
+
+
+# (rank, dim) in each regime: line bundle, stable range, corank one, unsupported
+REGIMES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 7)),
+    st.integers(1, 6).flatmap(lambda dim: st.tuples(st.integers(dim, 7), st.just(dim))),
+    st.integers(2, 6).map(lambda rank: (rank, rank + 1)),
+    st.integers(2, 4).flatmap(lambda rank: st.tuples(st.just(rank), st.integers(rank + 2, 7))),
+)
+
+
+def classes_of(length):
+    """Small classes, those of a sum of line bundles (which exist), or classes up to 10^30."""
+    return st.one_of(
+        st.lists(st.integers(-9, 9), min_size=length, max_size=length),
+        st.lists(st.integers(-4, 4), min_size=length, max_size=length).map(elementary_symmetric),
+        st.lists(st.integers(-10**30, 10**30), min_size=length, max_size=length),
+    ).map(tuple)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_count_prints_what_the_dataclass_api_gives(data):
+    rank, dim = data.draw(REGIMES)
+    # a rank-2 bundle on CP^3 with even c_1 has two classes, which S_4 lets
+    # extend for some c_2 and not for others
+    if data.draw(st.integers(0, 3)) == 0:
+        rank, dim = 2, 3
+        classes = (2 * data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9)))
+    else:  # all rank classes are accepted too, their tail dropped
+        length = data.draw(st.sampled_from(sorted({min(rank, dim), rank})))
+        classes = data.draw(classes_of(length))
+    argv = ["count", "--rank", str(rank), "--dim", str(dim),
+            "--classes", ",".join(map(str, classes))]
+    assert run_main(argv) == (0, count_text(rank, dim, classes), "")
+
+
+@given(N=st.integers(1, 7), data=st.data())
+@settings(max_examples=300)
+def test_check_prints_what_the_dataclass_api_gives(N, data):
+    classes = data.draw(classes_of(N))
+    text, code = check_text(classes, N)
+    argv = ["check", "--classes", ",".join(map(str, classes)), "--N", str(N)]
+    assert run_main(argv) == (code, text, "")
 
 
 class TestSweepCommand:
@@ -291,7 +366,7 @@ print(json.dumps([name in sys.modules for name in {probed}]), file=sys.stderr)
 """
 PROBED = ("numpy", "multiprocessing", "dataclasses", "inspect", "fractions",
           "bundle_census.enumeration", "bundle_census.oracle", "argparse",
-          "bundle_census.sweep")
+          "bundle_census.sweep", "bundle_census.chern")
 
 
 def probe_startup(argv, patch="", env=None):
@@ -311,32 +386,33 @@ BIG_BOUNDS = ("--bounds=10000000000000000000000000:10000000000000000000000040,"
 class TestStartUp:
     """Each command loads only what it runs.
 
-    numpy, multiprocessing and argparse never load.  The single-tuple API
-    (``enumeration``, with its dataclasses, which import ``inspect``, and
-    its Fractions) loads on ``check`` and ``count`` only.  The
-    floating-point oracle loads on ``diagnose`` only, with Fractions and
-    none of the single-tuple API.  The sweep module loads on ``sweep`` only.
+    numpy, multiprocessing and argparse never load, nor does any command
+    load the single-tuple API (``chern`` and ``enumeration``, with their
+    dataclasses, which import ``inspect``, and Fractions): ``check`` and
+    ``count`` print ``kernels`` and ``counting`` directly.  The
+    floating-point oracle loads on ``diagnose`` only, with Fractions.  The
+    sweep module loads on ``sweep`` only.
     """
 
     # per argv, whether each of PROBED loads: numpy, multiprocessing,
     # dataclasses, inspect, fractions, bundle_census.enumeration,
-    # bundle_census.oracle, argparse, bundle_census.sweep
+    # bundle_census.oracle, argparse, bundle_census.sweep, bundle_census.chern
     @pytest.mark.parametrize("argv, loaded", [
-        (["--version"], [False, False, False, False, False, False, False, False, False]),
+        (["--version"], [False, False, False, False, False, False, False, False, False, False]),
         (["check", "--classes", "5,6,0"],
-         [False, False, True, True, True, True, False, False, False]),
+         [False, False, False, False, False, False, False, False, False, False]),
         (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"],
-         [False, False, True, True, True, True, False, False, False]),
+         [False, False, False, False, False, False, False, False, False, False]),
         (["diagnose", "--classes", "5,6,0"],
-         [False, False, False, False, True, False, True, False, False]),
+         [False, False, False, False, True, False, True, False, False, False]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:1,0:1", "--jobs", "1"],
-         [False, False, False, False, False, False, False, False, True]),
+         [False, False, False, False, False, False, False, False, True, False]),
         (["sweep", "--rank", "2", "--dim", "3", "--bounds=-150:150,-150:150", "--jobs", "2"],
-         [False, False, False, False, False, False, False, False, True]),
+         [False, False, False, False, False, False, False, False, True, False]),
         (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "1"],
-         [False, False, False, False, False, False, False, False, True]),
+         [False, False, False, False, False, False, False, False, True, False]),
         (["sweep", "--rank", "3", "--dim", "4", BIG_BOUNDS, "--format", "csv", "--jobs", "2"],
-         [False, False, False, False, False, False, False, False, True]),
+         [False, False, False, False, False, False, False, False, True, False]),
     ], ids=["version", "check", "count", "diagnose", "sweep_one_job", "sweep_rank2_150_two_jobs",
             "sweep_python_ints_one_job", "sweep_python_ints_two_jobs"])
     def test_modules_loaded(self, argv, loaded):

@@ -165,8 +165,8 @@ class TestSchwarzTerms:
 
 def certified_edge(order):
     """Largest max|c_i| whose certificate order R(R+1)...(R+order-1), R = 1 + max|c_i|, is below 2^62."""
-    bits = kernels.INT64_LIMIT.bit_length() - 1
-    lo, hi = 0, kernels.INT64_LIMIT
+    bits = sweep.INT64_LIMIT.bit_length() - 1
+    lo, hi = 0, sweep.INT64_LIMIT
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if kernels.certificate_bits(order, mid, bits) <= bits else (lo, mid)

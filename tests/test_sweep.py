@@ -385,7 +385,7 @@ def test_decodes_indices_past_int64(fmt):
     bounds = ((0, 2**31 - 1), (0, 2**31 - 1))
     spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
-    assert total == kernels.INT64_LIMIT
+    assert total == sweep.INT64_LIMIT
     start = total - 5
     tuples = [divmod(index, 2**31) for index in range(start, total)]
     assert tuples[-1] == (2**31 - 1, 2**31 - 1)
@@ -424,7 +424,7 @@ def decode(index, bounds):
 def test_ranges_at_the_int64_decoding_limit(bounds, fmt):
     spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
     total = spec.tuple_count()
-    assert total <= kernels.INT64_LIMIT
+    assert total <= sweep.INT64_LIMIT
     for start, stop in ((0, 40), (total - 30, total)):
         tuples = [decode(i, bounds) for i in range(start, stop)]
         pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
