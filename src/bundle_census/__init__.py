@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # none of them, so each command imports only the modules it runs (PEP 562)
 _HOMES = {
     "BundleCount": "enumeration",
-    "ChernVector": "chern",
+    "ChernVector": "enumeration",
     "NumericRoots": "oracle",
     "SchwarzenbergerReport": "enumeration",
     "backend_name": "kernels",
@@ -26,13 +26,13 @@ _HOMES = {
     "check_schwarzenberger": "enumeration",
     "compare_exact_numeric": "oracle",
     "count_bundles": "enumeration",
-    "dual": "chern",
-    "elementary_symmetric": "chern",
+    "dual": "enumeration",
+    "elementary_symmetric": "enumeration",
     "exists_rank_n_on_cp_n_plus_1": "enumeration",
     "find_roots": "oracle",
-    "from_line_bundles": "chern",
+    "from_line_bundles": "enumeration",
     "stirling_first": "kernels",
-    "twist_by_line": "chern",
+    "twist_by_line": "enumeration",
     "CORANK_ONE": "counting",
     "LINE_BUNDLE": "counting",
     "STABLE_RANGE": "counting",

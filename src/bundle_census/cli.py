@@ -6,8 +6,8 @@ parses and admits its box and leaves all its output to ``sweep.write``.
 ``--opt=value``, the value verbatim (``--classes -1,2`` reads as typed), each
 option spelled in full, a repeated option's last value kept.
 Each command imports only the modules it runs: ``check`` and ``count``
-print ``kernels`` and ``counting`` without the single-tuple API (``chern``,
-``enumeration``), ``diagnose`` imports only the floating-point ``oracle``,
+print ``kernels`` and ``counting`` without the single-tuple API
+(``enumeration``), ``diagnose`` imports only the floating-point ``oracle``,
 ``sweep`` only ``sweep``, and ``--version`` none of them.
 Exit codes: 0 success / condition satisfied, 1 condition failed,
 exact-numeric disagreement or a sweep worker lane that died before its last

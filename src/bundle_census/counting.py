@@ -14,8 +14,8 @@ alike: it names the orders to test and gives each tuple a count code,
 Everything else is honestly reported as unknown.
 
 ``stored_classes`` and ``verdict``, which ``ChernVector`` and
-``count_bundles`` wrap, give ``count`` the whole answer for one tuple
-without the dataclasses and Fractions of the single-tuple API.
+``count_bundles`` (``enumeration``) wrap, give ``count`` the whole answer
+for one tuple without the dataclasses and Fractions of the single-tuple API.
 """
 
 from __future__ import annotations

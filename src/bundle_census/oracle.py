@@ -18,8 +18,8 @@ settles each zero of the iteration and judges the roots it returns.
 The path is plain Python floats and complex numbers, so ``diagnose``
 never loads numpy.  The exact side is ``kernels``, read straight into
 ``Fraction``s, and the two result records are ``NamedTuple``s, so
-``diagnose`` loads none of the single-tuple API (``chern``,
-``enumeration`` and their dataclasses) either.
+``diagnose`` loads none of the single-tuple API (``enumeration`` and its
+dataclasses) either.
 """
 
 from __future__ import annotations

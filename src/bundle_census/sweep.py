@@ -19,8 +19,8 @@ followed by the data.  Ranges are always yielded in index order, so
 output is deterministic and independent of the worker count.
 ``write`` writes a whole sweep: header, chunks, and totals from their tallies.
 ``evaluate_classes`` and ``run_sweep`` are the single-tuple path: only they
-load ``chern`` and ``enumeration``, on first use, so the bulk path runs
-without the dataclasses and Fractions of the single-tuple API.
+load ``enumeration``, on first use, so the bulk path runs without the
+dataclasses and Fractions of the single-tuple API.
 """
 
 from __future__ import annotations
@@ -134,13 +134,11 @@ class SweepSpec(_SweepFields):
 
 def __getattr__(name: str):
     """The single-tuple path's ``ChernVector`` and ``count_bundles``, imported on first use."""
-    if name == "ChernVector":
-        from .chern import ChernVector as value
-    elif name == "count_bundles":
-        from .enumeration import count_bundles as value
-    else:
+    if name not in ("ChernVector", "count_bundles"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    from . import enumeration
+
+    value = globals()[name] = getattr(enumeration, name)
     return value
 
 

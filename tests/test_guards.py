@@ -2,13 +2,13 @@
 
 import pytest
 
-from bundle_census import _kernels_py, chern, enumeration, oracle
-from bundle_census.chern import ChernVector
+from bundle_census import _kernels_py, enumeration, oracle
+from bundle_census.enumeration import ChernVector
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: oracle.find_roots(()), "need a polynomial of degree >= 1"),
-    (lambda: chern.from_line_bundles([], 3), "need at least one line bundle"),
+    (lambda: enumeration.from_line_bundles([], 3), "need at least one line bundle"),
     (lambda: ChernVector(2, 3, (1, 2)).padded(1), "cannot pad 2 classes to length 1"),
     (lambda: enumeration.binomial_sum((1, 2), 0), "need r >= 1, got 0"),
     (lambda: _kernels_py.stirling_row(-1), "row index must be nonnegative, got -1"),

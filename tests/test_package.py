@@ -1,10 +1,14 @@
-"""The package's public surface: ``__all__`` names exactly what it exports."""
+"""The package's public surface: ``__all__`` names exactly what it exports,
+and each name a module serves on first use is its home module's object."""
 
 import importlib
 import subprocess
 import sys
 
+import pytest
+
 import bundle_census
+from bundle_census import cli, enumeration, oracle, sweep
 from conftest import child_env
 
 
@@ -39,3 +43,17 @@ def test_every_exported_name_is_its_home_modules_object():
     copies = [name for name in bundle_census.__all__
               if getattr(bundle_census, name) is not getattr(home(name), name)]
     assert copies == []
+
+
+def test_lazy_hooks_serve_their_home_objects(monkeypatch):
+    # cached names are dropped first, so each module's __getattr__ runs here
+    for module, name in ((sweep, "ChernVector"), (sweep, "count_bundles"),
+                         (oracle, "binomial_sum")):
+        monkeypatch.delitem(vars(module), name, raising=False)
+    assert sweep.ChernVector is enumeration.ChernVector
+    assert sweep.count_bundles is enumeration.count_bundles
+    assert cli.run_sweep is sweep.run_sweep
+    assert oracle.binomial_sum is enumeration.binomial_sum
+    for module in (sweep, cli, oracle):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name

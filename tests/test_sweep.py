@@ -28,9 +28,8 @@ from hypothesis import strategies as st
 
 from bundle_census import _kernels_py as kpy
 from bundle_census import cli, kernels, sweep
-from bundle_census.chern import ChernVector
 from bundle_census.counting import UNKNOWN, counting_rule
-from bundle_census.enumeration import count_bundles
+from bundle_census.enumeration import ChernVector, count_bundles
 from bundle_census.sweep import SweepSpec, iter_box, run_sweep, sweep_chunks
 from conftest import child_env, verdict_rows
 from oracles import schwarz_terms_companion
