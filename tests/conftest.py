@@ -19,7 +19,10 @@ def child_env(extra=None):
 
     pytest's ``pythonpath`` setting reaches only this process, so the
     checkout's ``src`` goes first on the child's PYTHONPATH; ``extra``
-    adds or overrides variables.
+    adds or overrides variables.  A copy of ``tests/`` with no ``src``
+    beside it puts a missing directory there, so the child runs whatever
+    ``bundle_census`` is installed: CI's Packaging step relies on this to
+    run these tests against the installed wheel.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))

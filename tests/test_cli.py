@@ -329,9 +329,11 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize("classes", ["11,45,81,54", "5,10,10,5,1,0"])
     def test_repeated_roots_agree(self, classes):
         # O(2) + O(3)^3 on CP^4 and O + O(1)^5: S_N holds, and the float
-        # error of a repeated root shows as an imaginary part in B_r
+        # error of a repeated root shows as an imaginary part in B_r, while
+        # each root's backward error stays near eps, so the roots read reliable
         proc = run_cli("diagnose", "--classes", classes)
         assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines()[0].endswith("(reliable)"), proc.stdout
         assert "DISAGREE" not in proc.stdout
 
     def test_disagreement_fails(self, monkeypatch, capsys):

@@ -15,6 +15,7 @@ import csv
 import fcntl
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -494,17 +495,28 @@ def sweep_argv(rank, dim, bounds, fmt, jobs):
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-@pytest.mark.parametrize("bounds", [((-20, 20), (-20, 20)), ((0, 24), (0, 11))],
-                         ids=["many_chunks", "fewer_chunks_than_lanes"])
-def test_three_lanes_match_one_job(bounds, fmt):
+@pytest.mark.parametrize("rank, dim, bounds", [
+    (2, 3, ((-20, 20), (-20, 20))),
+    (2, 3, ((0, 24), (0, 11))),
+    # 861 tuples near 10^25 in 3 chunks: json quotes the classes, the table pads them
+    (3, 4, ((10**25, 10**25 + 40), (-2 * 10**25, -2 * 10**25 + 20), (10**25 // 7, 10**25 // 7))),
+], ids=["many_chunks", "fewer_chunks_than_lanes", "python_ints"])
+def test_three_lanes_match_one_job(rank, dim, bounds, fmt):
     # a real stdout pipe is block-buffered, so the csv and table header is
     # still buffered when the lanes fork; it must reach stdout exactly once
-    runs = [subprocess.run([sys.executable, "-m", "bundle_census", *sweep_argv(2, 3, bounds, fmt, jobs)],
+    runs = [subprocess.run([sys.executable, "-m", "bundle_census", *sweep_argv(rank, dim, bounds, fmt, jobs)],
                            capture_output=True, env=child_env(), timeout=120) for jobs in (1, 3)]
     assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
     if fmt != "json":
         assert runs[1].stdout.count(b"classes") == 1
+    if fmt == "csv":
+        # csv's totals go to stderr; its sweep: line names the jobs, so only the summary is compared
+        total = math.prod(hi - lo + 1 for lo, hi in bounds)
+        summaries = [[line for line in run.stderr.splitlines() if line.startswith(b"summary:")]
+                     for run in runs]
+        assert summaries[1] == summaries[0]
+        assert summaries[0][0].startswith(b"summary: total=%d " % total)
 
 
 @contextlib.contextmanager
