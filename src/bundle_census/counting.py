@@ -91,10 +91,8 @@ def stored_classes(rank: int, dim: int, classes: Sequence[int]) -> tuple[int, ..
     if len(entries) == rank:
         return entries[:stored]
     if len(entries) != stored:
-        raise ValueError(
-            f"expected {stored} classes for rank {rank} on CP^{dim}"
-            f" (or all {rank}), got {len(entries)}"
-        )
+        also = f" (or all {rank})" if rank > stored else ""
+        raise ValueError(f"expected {stored} classes for rank {rank} on CP^{dim}{also}, got {len(entries)}")
     return entries
 
 

@@ -6,8 +6,9 @@ order and classifies each by the counting rule.  The bulk path,
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
 a chunk large; a box holds at most INT64_LIMIT = 2^62 tuples.
 Each range goes through two stages.  ``classify`` walks the range on
-Python ints, exact at any size, along its fastest varying class by exact
-forward differences, and applies the counting rule: a key per tuple, its
+Python ints, exact at any size, by exact forward differences along its
+fastest varying class, and the runs' heads by the same along the next
+slower class.  It applies the counting rule: a key per tuple, its
 c_1 parity and failing B_r, and one list of its classes and B_r, no text.
 ``render`` writes them to bytes, every format alike: one bytes ``%`` over
 a template per key, with every fixed word and one-value class written in.
@@ -367,11 +368,13 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     a run's first tuple, its head, up to the (order // j)-th, give A_r
     along the whole run (``_extend``).  A head's differences are in turn
     polynomials of degree at most D = order // i in the next slower class
-    c_i: once D + 1 heads consecutive in c_i are known, each next one
-    follows from the table of their backward differences (``_advance``).
-    The other heads, after c_i wraps or at the range's start, take theirs
-    from the power sums (``_differences``).  B_r fails where A_r mod r!
-    is not zero, and a key per tuple records where.
+    c_i.  So a stretch of runs, which opens at c_j's first value and steps
+    through c_i until c_i wraps or the range ends, takes its first D + 1
+    heads' differences from the power sums (``_differences``), and the
+    rest by the same two steps again: their forward differences along c_i
+    (``_forward``), extended (``_extend``).  A run that opens part way
+    through c_j is a stretch of its own.  B_r fails where A_r mod r! is
+    not zero, and a key per tuple records where.
     """
     rule = counting_rule(spec.rank, spec.dim)
     bounds, order = spec.bounds, rule.order or 1
@@ -380,7 +383,8 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     size = stop - start
     radices = [hi - lo + 1 for lo, hi in bounds]
     moving = [i for i, radix in enumerate(radices) if radix > 1] or [len(bounds) - 1]
-    j, slower = moving[-1], moving[-2:-1]
+    j = moving[-1]
+    i = moving[-2] if len(moving) > 1 else j  # where c_j alone moves, the box is one run
     digits, index = [], start
     for radix in reversed(radices):
         index, digit = divmod(index, radix)
@@ -393,35 +397,35 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     width = min(radices[j], order // (j + 1) + 1)  # differences per head
     # A_r's differences in a head's point-major list: every m-th from r - 3
     cuts = [slice(r - 3, r - 3 + m * min(width, r // (j + 1) + 1), m) for r in orders]
-    depth = order // (slower[0] + 1) if slower else 0
     columns = [[] for _ in moving]
     parity, odd = [], rule.extension is not None  # c_1 & 1 where the count reads it
     values = [[] for _ in orders]  # A_r of every tuple, one list per r
-    table, expect = [], None
     left = size
     while left:
-        head = [lo + digit for (lo, _), digit in zip(bounds, digits)]
-        run = min(radices[j] - digits[j], left)
-        for i, column in zip(moving, columns):
-            column += range(head[j], head[j] + run) if i == j else [head[i]] * run
-        parity += [head[0] & odd] * run if j else [c1 & odd for c1 in range(head[0], head[0] + run)]
-        if m:
-            if head == expect and len(table) > depth:
-                diffs = _advance(table)
-            else:
-                diffs = _differences(head, j, min(run, width), rows, order)
-                whole = slower and run >= width  # every difference, so the table may use it
-                table = _push(table if head == expect else [], diffs, depth) if whole else []
-            if table:
-                expect = head.copy()
-                expect[slower[0]] += 1
+        # a stretch of runs whose heads step through c_i: a run that opens past c_j's
+        # first value stands alone, the others go on until c_i wraps or the range ends
+        count = 1 if digits[j] else min(radices[i] - digits[i], -(-left // radices[j]))
+        runs = [min(radices[j] - digits[j], left - radices[j] * k) for k in range(count)]
+        first = [lo + digit for (lo, _), digit in zip(bounds, digits)]
+        heads = [[*first[:i], first[i] + k, *first[i + 1:]] for k in range(count)]
+        diffs = [()] * count  # no B_r to test where m is 0
+        if m:  # D + 1 heads from the power sums, D = order // (i + 1), the others extended
+            diffs = [_differences(head, j, min(run, width), rows, order)
+                     for head, run in zip(heads[:order // (i + 1) + 1], runs)]
+            if count > len(diffs):
+                diffs = list(zip(*(_extend(d, count) for d in zip(*_forward(diffs)))))
+        for head, run, diff in zip(heads, runs, diffs):
+            for c, column in zip(moving, columns):
+                column += range(head[j], head[j] + run) if c == j else [head[c]] * run
+            parity += [head[0] & odd] * run if j else [c1 & odd for c1 in range(head[0], head[0] + run)]
             for cut, column in zip(cuts, values):
-                column += _extend(diffs[cut][:run], run)
-        left -= run
-        digits[j] += run - 1  # the run's last tuple, whose successor opens the next run
-        for i in range(j, -1, -1):
-            digits[i] = (digits[i] + 1) % radices[i]
-            if digits[i]:
+                column += _extend(diff[cut][:run], run)
+        left -= sum(runs)
+        digits[i] += count - 1
+        digits[j] += runs[-1] - 1  # the stretch's last tuple, whose successor opens the next run
+        for c in range(j, -1, -1):
+            digits[c] = (digits[c] + 1) % radices[c]
+            if digits[c]:
                 break
     # each tuple's key, a line of ``keys``, and tuple-major in ``flat`` its moving
     # classes and every B_r's num and den, of which one compress keeps the failing
@@ -460,33 +464,18 @@ def _differences(head: list, j: int, width: int, rows: list, order: int) -> list
             classes.pop()
         p = [0, *kernels.power_sums(classes, order)]
         points.append([sum(map(operator.mul, row, p)) for row in rows])
-    for q in range(1, width):
-        for t in range(width - 1, q - 1, -1):
+    return list(itertools.chain.from_iterable(_forward(points)))
+
+
+def _forward(points: list) -> list:
+    """Forward differences 0 to len(points) - 1 at the first of ``points``, in place.
+
+    ``points`` holds equally long vectors, the values at consecutive steps.
+    """
+    for q in range(1, len(points)):
+        for t in range(len(points) - 1, q - 1, -1):
             points[t] = list(map(operator.sub, points[t], points[t - 1]))
-    return list(itertools.chain.from_iterable(points))
-
-
-def _push(table: list, values: list, depth: int) -> list:
-    """The backward difference table at a head, from the table at the head before and its values.
-
-    ``table[i]`` holds the i-th backward differences at the last head, up
-    to the ``depth``-th.
-    """
-    new = [values]
-    for old in table[:depth]:
-        new.append(list(map(operator.sub, new[-1], old)))
-    return new
-
-
-def _advance(table: list) -> list:
-    """The values at the next head, from a full difference table, which it moves there.
-
-    The values are polynomials of degree at most len(table) - 1 in the
-    head's class, so the top difference is constant.
-    """
-    for i in range(len(table) - 2, -1, -1):
-        table[i] = list(map(operator.add, table[i], table[i + 1]))
-    return table[0]
+    return points
 
 
 def _extend(diffs: list, n: int) -> Iterable[int]:

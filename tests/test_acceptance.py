@@ -23,6 +23,7 @@ from bundle_census import (
     from_line_bundles,
     twist_by_line,
 )
+from bundle_census.sweep import SweepSpec, chunk_tuples
 from conftest import child_env
 
 
@@ -164,8 +165,12 @@ def test_criterion_6_vanishing_classes():
 
 def test_criterion_7_sweep_determinism():
     """Sweep output is byte-identical at 1 and 8 workers."""
+    # at least one chunk per lane, so that --jobs 8 runs all 8 lanes
+    spec = SweepSpec(2, 3, ((-50, 50), (-50, 50)))
+    chunks = len(range(0, spec.tuple_count(), chunk_tuples(spec)))
+    assert chunks >= 8, f"{chunks} chunks start fewer than 8 lanes"
     args = [sys.executable, "-m", "bundle_census", "sweep",
-            "--rank", "2", "--dim", "3", "--bounds", "-20:20,-20:20",
+            "--rank", "2", "--dim", "3", "--bounds", "-50:50,-50:50",
             "--format", "json"]
     single = subprocess.run(args + ["--jobs", "1"], capture_output=True, env=child_env(), timeout=300)
     multi = subprocess.run(args + ["--jobs", "8"], capture_output=True, env=child_env(), timeout=300)
@@ -174,4 +179,4 @@ def test_criterion_7_sweep_determinism():
     lines = single.stdout.decode().splitlines()
     summary = json.loads(lines[-1])["summary"] if lines else {}
     report(7, "sweep byte-identical at 1 and 8 workers", ran and identical,
-           f"records={summary.get('total', '?')}")
+           f"records={summary.get('total', '?')}, chunks={chunks}")

@@ -29,6 +29,15 @@ class TestChernVector:
         with pytest.raises(ValueError):
             ChernVector(3, 5, (1, 2))
 
+    @pytest.mark.parametrize("rank, dim, message", [
+        (2, 3, "expected 2 classes for rank 2 on CP^3, got 1"),
+        (4, 3, "expected 3 classes for rank 4 on CP^3 (or all 4), got 1"),
+    ], ids=["stores_every_class", "stores_fewer_than_rank"])
+    def test_wrong_length_is_named(self, rank, dim, message):
+        with pytest.raises(ValueError) as raised:
+            ChernVector(rank, dim, (1,))
+        assert str(raised.value) == message
+
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             ChernVector(2, 3, (1.5, 2))

@@ -115,6 +115,15 @@ class TestCountCommand:
         proc = run_cli("count", "--rank", "2", "--dim", "3", "--classes", "1,2,3,4")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("rank, dim, message", [
+        (2, 3, "expected 2 classes for rank 2 on CP^3, got 1"),
+        (4, 3, "expected 3 classes for rank 4 on CP^3 (or all 4), got 1"),
+    ], ids=["stores_every_class", "stores_fewer_than_rank"])
+    def test_wrong_class_count_is_named(self, rank, dim, message, capsys):
+        # all rank classes are accepted too only where the dimension drops some
+        assert cli.main(["count", "--rank", str(rank), "--dim", str(dim), "--classes", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 # the CLI prints from ``counting`` and ``kernels`` directly; these render the
 # same lines from the dataclass API, so that the two cannot drift apart

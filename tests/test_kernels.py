@@ -257,7 +257,7 @@ class TestBatchKernel:
         assert_sweep_matches(rows, kpy.schwarz_terms)
 
     @given(data=st.data(), order=st.integers(1, 30), count=st.integers(1, 8))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_random_object_rows_match_reference(self, data, order, count):
         rows = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=order, max_size=order),
                                   min_size=count, max_size=count))

@@ -236,7 +236,7 @@ DEGREE_2_BOX = (4, 5, ((2, 3), (BIG, BIG + 8), (0, 0), (-1, -1)))
 @example(box=DEGREE_4_BOX, fmt="csv", chunk=7)
 @example(box=DEGREE_2_BOX, fmt="csv", chunk=None)
 @example(box=DEGREE_2_BOX, fmt="table", chunk=7)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_random_boxes_match_reference(box, fmt, chunk):
     # chunk None keeps CHUNK, so the computed size applies
     rank, dim, bounds = box
@@ -275,9 +275,10 @@ WRAPS_BOUNDS = ((10**25, 10**25 + 2), (-2 * 10**25, -2 * 10**25 + 49), (10**25 /
 @pytest.mark.parametrize("chunk", [7, None])
 @pytest.mark.parametrize("bounds", [SHORT_RUNS_BOUNDS, WRAPS_BOUNDS], ids=["short_runs", "next_class_wraps"])
 def test_run_heads_follow_from_the_next_slower_class(bounds, chunk, monkeypatch):
-    # S_4's A_r has degree 4 // i in c_i: the heads' table along c_1 holds 5
-    # heads, along c_2 3.  Chunks of 7 open part way through a run, so the
-    # table starts again at each; chunk None keeps the computed size, 386
+    # S_4's A_r has degree 4 // i in c_i: a stretch of runs along c_1 takes
+    # its first 5 heads from the power sums, along c_2 its first 3.  Chunks
+    # of 7 open part way through a run, so a stretch starts again after each;
+    # chunk None keeps the computed size, 386
     if chunk is not None:
         monkeypatch.setattr(sweep, "CHUNK", chunk)
     spec = SweepSpec(3, 4, bounds)
@@ -295,13 +296,40 @@ def test_run_heads_follow_from_the_next_slower_class(bounds, chunk, monkeypatch)
         assert heads == want
 
 
+def test_run_heads_follow_on_three_moving_classes(monkeypatch):
+    # the rank6-spine benchmark's base box: c_3 is the fastest class, c_2 the next
+    # slower, and c_1 wraps c_2 within a chunk.  S_7's A_r has degree 7 // 2 = 3
+    # in c_2, so each stretch of runs along c_2 takes its first 4 heads from the
+    # power sums; a chunk that opens part way through a run takes that run's head
+    spec = SweepSpec(6, 7, ((-15, 15),) * 3 + ((0, 0),) * 3)
+    size = sweep.chunk_tuples(spec)
+    heads, differences = [], sweep._differences
+    monkeypatch.setattr(sweep, "_differences", lambda head, *args: heads.append(head) or differences(head, *args))
+    assert walked_terms(spec, size) == reference_terms(spec)
+    assert size == 1024
+    (lo2, _), (lo3, _) = spec.bounds[1:3]
+    tuples, want = list(iter_box(spec.bounds)), []
+    for start in range(0, len(tuples), size):
+        for p, classes in enumerate(tuples[start:start + size]):
+            if not p:  # the chunk's first tuple; a run it opens part way through stands alone
+                want.append(list(classes))
+                streak = int(classes[2] == lo3)
+            elif classes[2] == lo3:  # a run's head, which opens a new stretch where c_2 wraps
+                streak *= classes[1] != lo2
+                if streak < 4:
+                    want.append(list(classes))
+                streak += 1
+    assert len(want) == 259
+    assert heads == want
+
+
 @st.composite
 def table_boxes(draw):
-    """Rank 2 to 6 on CP^rank or CP^(rank+1) with a next slower class long enough for its heads' table.
+    """Rank 2 to 6 on CP^rank or CP^(rank+1), with heads extended along the next slower class.
 
     c_j, the fastest class, takes 2 to 4 values; c_i, the next slower, the
-    D + 1 values that fill the table, D = order // i, and up to 4 more; a
-    class before it may take 2 values, so that c_i wraps.
+    D + 1 values whose heads take the power sums, D = order // i, and up to
+    4 more; a class before it may take 2 values, so that c_i wraps.
     """
     rank = draw(st.integers(2, 6))
     dim = draw(st.sampled_from([rank, rank + 1]))
@@ -321,7 +349,7 @@ def table_boxes(draw):
 
 
 @given(spec=table_boxes(), data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_heads_table_matches_reference(spec, data):
     size = data.draw(st.integers(1, spec.tuple_count()))
     assert walked_terms(spec, size) == reference_terms(spec)
@@ -710,7 +738,7 @@ def csv_boxes(draw):
 
 
 @given(box=csv_boxes())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_csv_failing_terms_follow_the_companion_route(box):
     # what ``sweep --format csv`` prints, written by the function it calls
     rank, dim, bounds = box
@@ -750,7 +778,7 @@ def test_sweep_extension_agrees_with_count(capsysbinary):
         min_size=2, max_size=2),
     data=st.data(),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_any_range_of_a_box_matches_reference(bounds, data):
     # a range may open and close part way through a run, near the int64 edge or not
     bounds = tuple((centre + offset, centre + offset + width) for centre, offset, width in bounds)
