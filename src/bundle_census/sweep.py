@@ -8,8 +8,9 @@ a chunk large; a box holds at most INT64_LIMIT = 2^62 tuples.
 Each range goes through two stages.  ``classify`` walks the range on
 Python ints, exact at any size, by exact forward differences along its
 fastest varying class, and the runs' heads by the same along the next
-slower class.  It applies the counting rule: a key per tuple, its
-c_1 parity and failing B_r, and one list of its classes and B_r, no text.
+slower class, each stretch of runs found from its linear index.  It
+applies the counting rule: a key per tuple, its c_1 parity and failing
+B_r, and one list of its classes and B_r, no text.
 ``render`` writes them to bytes, every format alike: one bytes ``%`` over
 a template per key, with every fixed word and one-value class written in.
 With more than one job the ranges are dealt round-robin to lanes: the
@@ -373,8 +374,9 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     heads' differences from the power sums (``_differences``), and the
     rest by the same two steps again: their forward differences along c_i
     (``_forward``), extended (``_extend``).  A run that opens part way
-    through c_j is a stretch of its own.  B_r fails where A_r mod r! is
-    not zero, and a key per tuple records where.
+    through c_j is a stretch of its own.  Each stretch decodes its first
+    tuple from its linear index, the walk's one cursor.  B_r fails where
+    A_r mod r! is not zero, and a key per tuple records where.
     """
     rule = counting_rule(spec.rank, spec.dim)
     bounds, order = spec.bounds, rule.order or 1
@@ -385,11 +387,6 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     moving = [i for i, radix in enumerate(radices) if radix > 1] or [len(bounds) - 1]
     j = moving[-1]
     i = moving[-2] if len(moving) > 1 else j  # where c_j alone moves, the box is one run
-    digits, index = [], start
-    for radix in reversed(radices):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    digits.reverse()
     # B_2 = C(c_1, 2) - c_2 is an integer whatever the classes: r runs from 3
     orders = range(3, order + 1)
     m = len(orders)
@@ -400,8 +397,14 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     columns = [[] for _ in moving]
     parity, odd = [], rule.extension is not None  # c_1 & 1 where the count reads it
     values = [[] for _ in orders]  # A_r of every tuple, one list per r
-    left = size
-    while left:
+    index = start
+    while index < stop:
+        digits, rest = [], index
+        for radix in reversed(radices):
+            rest, digit = divmod(rest, radix)
+            digits.append(digit)
+        digits.reverse()
+        left = stop - index
         # a stretch of runs whose heads step through c_i: a run that opens past c_j's
         # first value stands alone, the others go on until c_i wraps or the range ends
         count = 1 if digits[j] else min(radices[i] - digits[i], -(-left // radices[j]))
@@ -420,13 +423,7 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
             parity += [head[0] & odd] * run if j else [c1 & odd for c1 in range(head[0], head[0] + run)]
             for cut, column in zip(cuts, values):
                 column += _extend(diff[cut][:run], run)
-        left -= sum(runs)
-        digits[i] += count - 1
-        digits[j] += runs[-1] - 1  # the stretch's last tuple, whose successor opens the next run
-        for c in range(j, -1, -1):
-            digits[c] = (digits[c] + 1) % radices[c]
-            if digits[c]:
-                break
+        index += sum(runs)
     # each tuple's key, a line of ``keys``, and tuple-major in ``flat`` its moving
     # classes and every B_r's num and den, of which one compress keeps the failing
     stride = len(moving) + 2 * m

@@ -218,9 +218,11 @@ class TestSweepCommand:
         *records, _ = [json.loads(line) for line in proc.stdout.splitlines()]
         assert [rec["classes"] for rec in records] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
-    def test_empty_interval_rejected(self):
-        proc = run_cli("sweep", "--rank", "2", "--dim", "3", "--bounds", "2:1,0:1")
-        assert proc.returncode == 2
+    def test_empty_interval_rejected(self, capsys):
+        assert cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds", "2:1,0:1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: empty interval [2, 1]\n"
 
     def test_malformed_bounds_rejected(self):
         proc = run_cli("sweep", "--rank", "2", "--dim", "3", "--bounds", "1,2")

@@ -194,7 +194,7 @@ def assert_sweep_matches(rows, reference, length=4):
 
 
 class TestBatchKernel:
-    """The sweep's chunk classification, its one bulk kernel, against the reference kernel.
+    """The sweep's walk, its one bulk path, against the reference kernel.
 
     The rows at the int64 certificate's edge are where a fixed-width kernel
     would come closest to overflowing; the walk runs them on Python ints
@@ -231,7 +231,7 @@ class TestBatchKernel:
                                   min_size=count, max_size=count))
         assert_sweep_matches(rows, kpy.schwarz_terms, length=2)
 
-    def test_uncertified_int64_batch_runs_on_python_ints(self):
+    def test_walk_past_the_certificate_edge_matches_reference(self):
         # one past the edge, and S_20, past the certificate even on zeros
         for order in (2, 3, 7):
             m = certified_edge(order)
@@ -276,7 +276,7 @@ def non_integral(terms):
 
 
 class TestCompanionReference:
-    """Every exact kernel path against the companion-matrix route on classes whose B_r are not all integers.
+    """The reference kernel and the walk against the companion-matrix route, on classes whose B_r are not all integers.
 
     The route shares neither Newton's identities nor the Stirling weights
     with the kernels, so it also checks their sign conventions.
@@ -291,7 +291,7 @@ class TestCompanionReference:
 
     @given(data=st.data(), order=st.integers(3, 18), count=st.integers(1, 6))
     @settings(max_examples=60)
-    def test_int64_batch_at_the_certificate_edge(self, data, order, count):
+    def test_walk_at_the_certificate_edge(self, data, order, count):
         m = certified_edge(order)
         entry = st.one_of(st.integers(-m, m), st.sampled_from([-m, m]))
         rows = data.draw(st.lists(st.lists(entry, min_size=order, max_size=order),
@@ -302,7 +302,7 @@ class TestCompanionReference:
 
     @given(data=st.data(), order=st.integers(3, 12), count=st.integers(1, 6))
     @settings(max_examples=60)
-    def test_batch_on_python_ints_past_2_62(self, data, order, count):
+    def test_walk_past_2_62(self, data, order, count):
         # the sweep walks each row and the two after it
         big = st.integers(2**62, 10**30)
         entry = st.one_of(big, big.map(operator.neg), st.integers(-50, 50))
@@ -316,7 +316,7 @@ class TestCompanionReference:
 class TestChunkPath:
     """Chunks at the int64 certificate's edge for S_3, on the walk like every other."""
 
-    def test_just_above_runs_bignum(self):
+    def test_just_above_the_edge_matches_reference(self):
         # rank 2 on CP^3 tests S_3 on (c1, c2, 0); one class past the edge
         m = certified_edge(3)
         for bounds in (((m - 3, m + 1), (-2, 2)), ((-m - 1, -m), (-2, 2))):

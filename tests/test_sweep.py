@@ -680,6 +680,8 @@ def test_cli_output_matches_reference(fmt, jobs, capsysbinary, monkeypatch):
         with pytest.raises(ValueError, match="unknown format 'xml'"):
             sweep.write(SweepSpec(rank, dim, bounds), fmt, sys.stdout.buffer, sys.stderr)
         assert capsysbinary.readouterr() == (b"", b"")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            next(sweep_chunks(SweepSpec(rank, dim, bounds), fmt))
         return
     text = ",".join(f"{lo}:{hi}" for lo, hi in bounds)
     assert cli.main(["sweep", "--rank", str(rank), "--dim", str(dim),
@@ -775,16 +777,18 @@ def test_sweep_extension_agrees_with_count(capsysbinary):
 @given(
     bounds=st.lists(
         st.tuples(st.sampled_from([-EDGE3, 0, EDGE3]), st.integers(-4, 4), st.integers(0, 5)),
-        min_size=2, max_size=2),
+        min_size=2, max_size=3),
     data=st.data(),
 )
 @settings(max_examples=200)
 def test_any_range_of_a_box_matches_reference(bounds, data):
-    # a range may open and close part way through a run, near the int64 edge or not
+    # a range may open and close part way through a run, near the int64 edge or not;
+    # rank 2 on CP^3 or rank 3 on CP^4, where it may also cross a wrap of c_2 into c_1
     bounds = tuple((centre + offset, centre + offset + width) for centre, offset, width in bounds)
+    rank = len(bounds)
     tuples = list(iter_box(bounds))
     start = data.draw(st.integers(0, len(tuples) - 1))
     stop = data.draw(st.integers(start + 1, len(tuples)))
-    got = sweep.render_chunk(SweepSpec(2, 3, bounds), "json", start, stop)
-    pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples[start:stop]]
-    assert got.data == render_reference(pairs, 2, "json")
+    got = sweep.render_chunk(SweepSpec(rank, rank + 1, bounds), "json", start, stop)
+    pairs = [(t, sweep.evaluate_classes(rank, rank + 1, t)) for t in tuples[start:stop]]
+    assert got.data == render_reference(pairs, rank, "json")
