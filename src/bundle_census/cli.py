@@ -13,7 +13,8 @@ Exit codes: 0 success / condition satisfied, 1 condition failed,
 exact-numeric disagreement or a sweep worker lane that died before its last
 chunk (one ``error:`` line, no traceback), 2 usage error (one ``error:``
 line, nothing on stdout), including a condition order above MAX_ORDER and
-classes whose B_r Python might not print.
+classes whose B_r Python might not print, 74 (EX_IOERR) output that could
+not be written, such as to a full disk (one ``error:`` line, no traceback).
 
 ``run`` is the console entry point: it calls ``main``, flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
@@ -146,12 +147,17 @@ def cmd_sweep(args) -> int:
     if args.format not in sweep.FORMATS:
         raise UsageError(f"--format must be one of {', '.join(sweep.FORMATS)}, "
                          f"got {args.format!r}")
-    try:  # an oversize box too, before any output
+    try:  # a box past the 2^62 a sweep can index too, before any output
         spec = sweep.SweepSpec(args.rank, args.dim,
                                sweep.parse_bounds(_readable("--bounds", args.bounds)),
-                               jobs=args.jobs, max_tuples=args.max_tuples)
+                               jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.max_tuples < 1:
+        raise UsageError(f"max_tuples must be >= 1, got {args.max_tuples}")
+    if spec.tuple_count() > args.max_tuples:
+        raise UsageError(f"box holds {spec.tuple_count()} tuples, above the cap of "
+                         f"{args.max_tuples}; raise --max-tuples to proceed")
     _admit(counting_rule(spec.rank, spec.dim).order, [spec.max_abs()])
     try:
         sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
@@ -290,12 +296,19 @@ def run() -> NoReturn:
     """Run ``main`` on ``sys.argv`` and exit with its code, without interpreter teardown.
 
     A reader of stdout or stderr that has gone loses what is still
-    buffered, silently, and the exit code stays the command's.
+    buffered, silently, and the exit code stays the command's.  Any other
+    failed write, such as to a full disk, is no verdict: it ends the run
+    with one ``error:`` line on stderr and code 74 (EX_IOERR).
     """
-    code = main()
-    for stream in filter(None, (sys.stdout, sys.stderr)):
-        with suppress(BrokenPipeError):
-            stream.flush()
+    try:
+        code = main()
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            with suppress(BrokenPipeError):
+                stream.flush()
+    except OSError as exc:  # main's own handlers have taken BrokenPipeError
+        with suppress(OSError):
+            os.write(2, f"error: {exc.strerror or exc}\n".encode())
+        code = 74
     os._exit(code)
 
 

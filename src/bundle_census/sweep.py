@@ -4,7 +4,7 @@ Enumerates every integer tuple in a product of intervals in lexicographic
 order and classifies each by the counting rule.  The bulk path,
 ``sweep_chunks``, cuts the box's linear (mixed-radix) index into ranges of
 ``chunk_tuples`` tuples, at most CHUNK and fewer where long B_r would make
-a chunk large; a box holds at most INT64_LIMIT = 2^62 tuples.
+a chunk large; a box holds at most INDEX_LIMIT = 2^62 tuples.
 Each range goes through two stages.  ``classify`` walks the range on
 Python ints, exact at any size, by exact forward differences along its
 fastest varying class, and the runs' heads by the same along the next
@@ -42,10 +42,9 @@ from .counting import UNKNOWN, counting_rule
 if TYPE_CHECKING:
     from .enumeration import BundleCount
 
-DEFAULT_MAX_TUPLES = 10_000_000
-# the most tuples a box holds, whatever its cap: sweep_chunks takes len() of its
-# range of chunk starts, which must stay below sys.maxsize at one tuple a chunk
-INT64_LIMIT = 2**62
+# the most tuples a box holds: sweep_chunks takes len() of its range of
+# chunk starts, which must stay below sys.maxsize at one tuple a chunk
+INDEX_LIMIT = 2**62
 # ceiling on --jobs: each worker is a whole interpreter, and a typo such as
 # 1000 must not start a thousand of them
 MAX_JOBS = 16
@@ -65,10 +64,6 @@ _FRAME = struct.Struct("5Q")
 _SAFE_JSON_INT = 2**53 - 1
 
 
-class BoxTooLarge(ValueError):
-    """Sweep box holds more tuples than its cap."""
-
-
 class LaneDied(RuntimeError):
     """A worker lane closed its pipe before sending its last chunk."""
 
@@ -80,14 +75,13 @@ class _SweepFields(NamedTuple):
     dim: int
     bounds: tuple[tuple[int, int], ...]
     jobs: int = 1
-    max_tuples: int = DEFAULT_MAX_TUPLES
 
 
 class SweepSpec(_SweepFields):
-    """A sweep request: one inclusive integer interval per stored class.
+    """A sweep request: one inclusive integer interval per stored class, and its lanes.
 
-    Construction raises BoxTooLarge if the box holds over ``max_tuples``
-    tuples, or over INT64_LIMIT, whatever the cap.
+    Construction raises ValueError on a malformed box, on ``jobs`` outside 1
+    to MAX_JOBS and on a box of over INDEX_LIMIT tuples; any lower cap is the caller's.
     """
 
     __slots__ = ()
@@ -107,16 +101,8 @@ class SweepSpec(_SweepFields):
                 raise ValueError(f"empty interval [{lo}, {hi}]")
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {self.jobs}")
-        if self.max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {self.max_tuples}")
-        total = self.tuple_count()
-        if total > INT64_LIMIT:
-            raise BoxTooLarge(f"box holds {total} tuples, above the 2^62 a sweep can index")
-        if total > self.max_tuples:
-            raise BoxTooLarge(
-                f"box holds {total} tuples, above the cap of {self.max_tuples}; "
-                "raise --max-tuples to proceed"
-            )
+        if self.tuple_count() > INDEX_LIMIT:
+            raise ValueError(f"box holds {self.tuple_count()} tuples, above the 2^62 a sweep can index")
         return self
 
     @classmethod

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, determinism, malformed argv."""
 
 import contextlib
+import errno
 import fcntl
 import io
 import json
@@ -24,7 +25,6 @@ from bundle_census import (
 )
 from bundle_census.sweep import (
     MAX_JOBS,
-    BoxTooLarge,
     SweepSpec,
     parse_bounds,
     sweep_chunks,
@@ -506,6 +506,45 @@ class TestExitPath:
         # sweep names its box on stderr before any record
         assert [line for line in proc.stderr.splitlines() if not line.startswith("sweep:")] == []
 
+    # cli.run, its os._exit made to exit 99 instead while this process has a child
+    CHILDLESS_EXIT = """
+import os
+from bundle_census import cli
+exit = os._exit
+def childless_exit(code):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        exit(code)
+    exit(99)
+os._exit = childless_exit
+cli.run()
+"""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["check", "--classes", "5,6,0"], ""),
+        (["check", "--classes", "5,6,0"], "1"),
+        (["count", "--rank", "2", "--dim", "3", "--classes", "0,1"], ""),
+        (["diagnose", "--classes", "5,6,0"], ""),
+        (["--version"], ""),
+        # 6561 tuples in 7 chunks, and json has no header to flush before the
+        # worker lane starts: the first chunk's write fails while the lane runs
+        (["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--format", "json",
+          "--jobs", "2"], ""),
+    ], ids=["check_satisfied", "check_unbuffered", "count", "diagnose", "version", "sweep"])
+    def test_full_disk_is_an_output_error(self, argv, unbuffered):
+        # a write to stdout fails with ENOSPC: not a verdict, so neither 0 nor 1
+        # but 74, with one error line and no child process left behind
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", self.CHILDLESS_EXIT, *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True,
+                env=child_env({"PYTHONUNBUFFERED": unbuffered}), timeout=120)
+        assert proc.returncode == 74, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("sweep:")]
+        assert errors == [f"error: {os.strerror(errno.ENOSPC)}"]
+
     DISAGREE = """
 from bundle_census import cli, oracle
 def compare(classes, rs):
@@ -732,11 +771,14 @@ class TestSweepModule:
         spec = SweepSpec(2, 3, ((-2, 2), (-2, 2)))
         assert spec.tuple_count() == 25
 
-    def test_box_too_large(self):
-        with pytest.raises(BoxTooLarge):
-            SweepSpec(2, 3, ((-2, 2), (-2, 2)), max_tuples=3)
-        with pytest.raises(BoxTooLarge):  # a copy with new fields is checked as well
-            SweepSpec(2, 3, ((-2, 2), (-2, 2)))._replace(max_tuples=3)
+    def test_copies_are_checked_and_no_cap_is_held(self, capsys):
+        with pytest.raises(ValueError):  # a copy with new fields is checked as well
+            SweepSpec(2, 3, ((-2, 2), (-2, 2)))._replace(jobs=MAX_JOBS + 1)
+        # the cap is the command line's: the spec of a box it refuses still builds
+        assert cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds", "-2:2,-2:2",
+                         "--max-tuples", "24"]) == 2
+        assert "above the cap of 24" in capsys.readouterr().err
+        assert SweepSpec(2, 3, ((-2, 2), (-2, 2))).tuple_count() == 25
 
     def test_parse_bounds(self):
         assert parse_bounds("-1:2,0:0") == ((-1, 2), (0, 0))
@@ -884,7 +926,6 @@ def test_version_and_help_after_options(argv):
 def test_option_table_copies_the_sweep_limits():
     # written out in cli, so that only sweep imports the sweep module
     options = cli.COMMANDS["sweep"][2]
-    assert options["--max-tuples"][1] == sweep.DEFAULT_MAX_TUPLES
     assert f"1 to {MAX_JOBS}:" in options["--jobs"][2]
     assert options["--format"][1] in sweep.FORMATS
     assert options["--format"][2] == f"{', '.join(sweep.FORMATS[:-1])} or {sweep.FORMATS[-1]}"

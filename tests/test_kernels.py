@@ -165,8 +165,8 @@ class TestSchwarzTerms:
 
 def certified_edge(order):
     """Largest max|c_i| whose certificate order R(R+1)...(R+order-1), R = 1 + max|c_i|, is below 2^62."""
-    bits = sweep.INT64_LIMIT.bit_length() - 1
-    lo, hi = 0, sweep.INT64_LIMIT
+    bits = 62
+    lo, hi = 0, 2**bits
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if kernels.certificate_bits(order, mid, bits) <= bits else (lo, mid)
@@ -240,7 +240,7 @@ class TestBatchKernel:
                 assert_sweep_matches([[0] * (order - 1) + [first], [m] * order], kpy.schwarz_terms)
         assert_sweep_matches([[0] * 20], kpy.schwarz_terms)
 
-    def test_empty_batch(self):
+    def test_empty_range(self):
         for order in (1, 4, 25):
             spec = SweepSpec(order, order, ((0, 2),) + ((0, 0),) * (order - 1))
             assert sweep.classify(spec, 1, 1) == sweep.Verdicts((0,), [], [], (0, 0, 0, 0))

@@ -371,7 +371,7 @@ def test_chunk_size_at_the_order_cap_on_long_classes_is_quick():
     # the full certificate of S_400 on 5,000-digit classes took seconds;
     # its product stops once past the chunk's bit budget
     big = 10**5000
-    spec = SweepSpec(399, 400, ((big, big + 1),) + ((-big, -big),) * 398, max_tuples=2)
+    spec = SweepSpec(399, 400, ((big, big + 1),) + ((-big, -big),) * 398)
     with deadline(5):
         assert sweep.chunk_tuples(spec) == 1
 
@@ -406,14 +406,13 @@ def test_table_pads_failing_text_of_19_to_21_characters(chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
-def test_decodes_indices_past_int64(fmt):
-    # no index passes int64: a box holds at most 2^62 tuples.  The last
-    # tuples of a box of exactly 2^62, decoded in int64, are those that
-    # Python-int divmod gives
+def test_decodes_the_last_indices_of_the_largest_box(fmt):
+    # a box holds at most 2^62 tuples.  The last tuples of a box of exactly
+    # 2^62 are those that Python-int divmod gives
     bounds = ((0, 2**31 - 1), (0, 2**31 - 1))
-    spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
+    spec = SweepSpec(2, 3, bounds)
     total = spec.tuple_count()
-    assert total == sweep.INT64_LIMIT
+    assert total == sweep.INDEX_LIMIT
     start = total - 5
     tuples = [divmod(index, 2**31) for index in range(start, total)]
     assert tuples[-1] == (2**31 - 1, 2**31 - 1)
@@ -450,9 +449,9 @@ def decode(index, bounds):
     ((0, 0), (-5, 2**62 - 6)),
 ], ids=["bounds0-kernel_dtypes0", "bounds1-kernel_dtypes1"])  # as the suite has always reported them
 def test_ranges_at_the_int64_decoding_limit(bounds, fmt):
-    spec = SweepSpec(2, 3, bounds, max_tuples=2**62)
+    spec = SweepSpec(2, 3, bounds)
     total = spec.tuple_count()
-    assert total <= sweep.INT64_LIMIT
+    assert total <= sweep.INDEX_LIMIT
     for start, stop in ((0, 40), (total - 30, total)):
         tuples = [decode(i, bounds) for i in range(start, stop)]
         pairs = [(t, sweep.evaluate_classes(2, 3, t)) for t in tuples]
@@ -468,10 +467,9 @@ def test_ranges_at_the_int64_decoding_limit(bounds, fmt):
     ((0, 2**40), (0, 2**40)),
 ])
 def test_box_past_2_62_tuples_is_refused(bounds):
-    # whatever the cap: past 2^62 tuples a linear index would leave int64
-    for cap in (sweep.DEFAULT_MAX_TUPLES, 2**62, 2**200):
-        with pytest.raises(sweep.BoxTooLarge, match=r"above the 2\^62 a sweep can index"):
-            SweepSpec(2, 3, bounds, max_tuples=cap)
+    # past 2^62 tuples a box's count of chunks could pass sys.maxsize
+    with pytest.raises(ValueError, match=r"above the 2\^62 a sweep can index"):
+        SweepSpec(2, 3, bounds)
 
 
 @pytest.mark.parametrize("box", ["corank_one_rank2", "straddles_certificate", "big_classes"])
@@ -659,9 +657,9 @@ def test_box_of_more_chunks_than_sys_maxsize_starts_lanes():
     # no box has that many chunks: the largest a box admits, of 2^62
     # tuples, starts its worker lane
     bounds = ((0, 2**31 - 1), (0, 2**31 - 1))
-    first = sweep.render_chunk(SweepSpec(2, 3, bounds, max_tuples=2**62), "csv", 0, sweep.CHUNK)
+    first = sweep.render_chunk(SweepSpec(2, 3, bounds), "csv", 0, sweep.CHUNK)
     with deadline(60):
-        chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2, max_tuples=2**62), "csv")
+        chunks = sweep_chunks(SweepSpec(2, 3, bounds, jobs=2), "csv")
         assert next(chunks) == first
         chunks.close()
     assert_no_child_left()
