@@ -1,11 +1,12 @@
 """Pure-Python exact arithmetic kernels.
 
-Reference implementation of the hot inner loops: Stirling numbers of the
-first kind, Newton power sums, and the reduced binomial sums of the Chern
-roots.  Everything here works on plain Python ints (arbitrary precision,
-never floats), so results are exact at any input size.  The library
-reaches these functions through ``kernels``.  The module imports nothing
-from the package, so it can be loaded on its own as a reference.
+Reference implementation of the exact inner loops: Stirling numbers of
+the first kind, Newton power sums, and the binomial sums B_r of the Chern
+roots, whose A_r = r! B_r only ``numerators`` forms, for ``schwarz_terms``
+and the sweep's heads alike.  All on plain Python ints, never floats, so
+exact at any size.  The library reaches these functions through
+``kernels``; the module imports nothing from the package, so it can be
+loaded on its own as a reference.
 
 All functions are pure and the only shared state is the memoized Stirling
 triangle, which only ever grows.
@@ -14,6 +15,7 @@ triangle, which only ever grows.
 from __future__ import annotations
 
 from math import factorial, gcd
+from operator import mul
 from typing import Sequence
 
 # Triangle of signed Stirling numbers of the first kind, row r holding
@@ -60,35 +62,41 @@ def power_sums(coeffs: Sequence[int], R: int) -> list[int]:
 
         p_k = sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k
 
-    with e_i = c_i for i <= n and e_i = 0 beyond the degree.  Every p_k is
-    an integer; no division ever occurs.
+    with e_i = c_i up to the last nonzero class and 0 beyond.  With p_0
+    read as k, each p_k is one dot product of the signed e_i with p_(k-1),
+    ..., p_0, an integer: no division ever occurs.
     """
     if R < 0:
         raise ValueError(f"power sum count must be nonnegative, got {R}")
-    n = len(coeffs)
-    p: list[int] = []
+    signed = [-c if i % 2 else c for i, c in enumerate(coeffs)]  # (-1)^(i-1) e_i, i from 1
+    while signed and not signed[-1]:
+        signed.pop()
+    p = [0]
     for k in range(1, R + 1):
-        acc = 0
-        for i in range(1, min(k, n + 1)):
-            t = coeffs[i - 1] * p[k - i - 1]
-            acc += -t if i % 2 == 0 else t
-        if k <= n:
-            t = k * coeffs[k - 1]
-            acc += -t if k % 2 == 0 else t
-        p.append(acc)
-    return p
+        p[0] = k
+        p.append(sum(map(mul, signed, reversed(p))))
+    return p[1:]
+
+
+def numerators(coeffs: Sequence[int], orders: range) -> list[int]:
+    """Unreduced A_r = r! B_r = sum_k s(r,k) p_k for each r >= 1 of ``orders``.
+
+    One ``power_sums`` call, then a dot product per Stirling row, p_0 read
+    as 0 against s(r,0) = 0.
+    """
+    p = [0, *power_sums(coeffs, max(orders, default=0))]
+    return [sum(map(mul, stirling_row(r), p)) for r in orders]
 
 
 def binomial_sum_num_den(coeffs: Sequence[int], r: int) -> tuple[int, int]:
     """Sum of binomial coefficients C(delta_j, r) over the roots, reduced.
 
     Returns (num, den) in lowest terms with den >= 1, computed as
-    (1/r!) * sum_k s(r,k) p_k without materializing any root.
+    A_r / r! (``numerators``) without materializing any root.
     """
     if r < 1:
         raise ValueError(f"binomial degree must be >= 1, got {r}")
-    p = power_sums(coeffs, r)
-    return _reduce_weighted(stirling_row(r), p, r)
+    return _over_factorial(*numerators(coeffs, range(r, r + 1)), r)
 
 
 def schwarz_terms(coeffs: Sequence[int], N: int) -> list[tuple[int, int, int]]:
@@ -96,22 +104,17 @@ def schwarz_terms(coeffs: Sequence[int], N: int) -> list[tuple[int, int, int]]:
 
     B_r = sum_j C(delta_j, r) for the roots delta_j of the degree-N monic
     polynomial with the given coefficients.  ``den == 1`` in every entry is
-    exactly the integrality condition S_N.  Power sums are computed once
-    and shared across all r.
+    exactly the integrality condition S_N.  The A_r come from one
+    ``numerators`` call, so the power sums are shared across all r.
     """
     if N < 1:
         raise ValueError(f"condition order must be >= 1, got {N}")
     if len(coeffs) != N:
         raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
-    p = power_sums(coeffs, N)
-    return [(r, *_reduce_weighted(stirling_row(r), p, r)) for r in range(2, N + 1)]
+    orders = range(2, N + 1)
+    return [(r, *_over_factorial(a, r)) for r, a in zip(orders, numerators(coeffs, orders))]
 
 
-def _reduce_weighted(srow: Sequence[int], p: Sequence[int], r: int) -> tuple[int, int]:
-    # s(r,0) = 0 for r >= 1, so the k=0 term never contributes
-    num = 0
-    for k in range(1, r + 1):
-        num += srow[k] * p[k - 1]
-    den = factorial(r)
-    g = gcd(num, den)
-    return num // g, den // g
+def _over_factorial(num: int, r: int) -> tuple[int, int]:
+    g = gcd(num, factorial(r))  # num / r! in lowest terms
+    return num // g, factorial(r) // g

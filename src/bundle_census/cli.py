@@ -15,6 +15,7 @@ chunk (one ``error:`` line, no traceback), 2 usage error (one ``error:``
 line, nothing on stdout), including a condition order above MAX_ORDER and
 classes whose B_r Python might not print, 74 (EX_IOERR) output that could
 not be written, such as to a full disk (one ``error:`` line, no traceback).
+A reader of stderr that has gone changes no output byte and no code.
 
 ``run`` is the console entry point: it calls ``main``, flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
@@ -162,7 +163,8 @@ def cmd_sweep(args) -> int:
     try:
         sweep.write(spec, args.format, sys.stdout.buffer, sys.stderr)
     except sweep.LaneDied as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(BrokenPipeError):  # the code stays 1 with no reader of stderr
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -277,7 +279,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return COMMANDS[command][0](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(BrokenPipeError):  # the code stays 2 with no reader of stderr
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # a sweep's reader closed (e.g. piped into head)
         return 0

@@ -2,8 +2,9 @@
 
 Re-exports the kernels of ``_kernels_py``, all on Python ints, and adds
 the certificate that bounds every value they form and ``coefficients``,
-which reads class data as the kernels take it.  A sweep runs on the
-power sums and Stirling rows, a single tuple on ``schwarz_terms``.
+which reads class data as the kernels take it.  ``numerators`` forms
+every unreduced A_r = r! B_r: a sweep calls it at its heads, a single
+tuple reduces them through ``schwarz_terms``.
 Callers look the functions up as attributes of this module
 (``kernels.schwarz_terms``), so a profiler or test can wrap one in a
 single place.
@@ -15,10 +16,9 @@ from operator import index
 
 from ._kernels_py import (
     binomial_sum_num_den,
-    power_sums,
+    numerators,
     schwarz_terms,
     stirling_first,
-    stirling_row,
 )
 
 __all__ = [
@@ -26,10 +26,9 @@ __all__ = [
     "binomial_sum_num_den",
     "certificate_bits",
     "coefficients",
-    "power_sums",
+    "numerators",
     "schwarz_terms",
     "stirling_first",
-    "stirling_row",
 ]
 
 

@@ -8,9 +8,10 @@ a chunk large; a box holds at most INDEX_LIMIT = 2^62 tuples.
 Each range goes through two stages.  ``classify`` walks the range on
 Python ints, exact at any size, by exact forward differences along its
 fastest varying class, and the runs' heads by the same along the next
-slower class, each stretch of runs found from its linear index.  It
-applies the counting rule: a key per tuple, its c_1 parity and failing
-B_r, and one list of its classes and B_r, no text.
+slower class, each stretch of runs found from its linear index, whose
+first heads take A_r = r! B_r from ``kernels.numerators``.  It applies
+the counting rule: a key per tuple, its c_1 parity and failing B_r, and
+one list of its classes and B_r, no text.
 ``render`` writes them to bytes, every format alike: one bytes ``%`` over
 a template per key, with every fixed word and one-value class written in.
 With more than one job the ranges are dealt round-robin to lanes: the
@@ -32,7 +33,7 @@ import operator
 import os
 import struct
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from math import factorial, gcd
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
@@ -169,7 +170,8 @@ def write(spec: SweepSpec, fmt: str, out: BinaryIO, err: TextIO) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     total = spec.tuple_count()
-    err.write(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, jobs={spec.jobs}\n")
+    with suppress(BrokenPipeError):  # a reader of err that has gone stops nothing
+        err.write(f"sweep: {total} tuples, rank {spec.rank} on CP^{spec.dim}, jobs={spec.jobs}\n")
     if fmt == "csv":
         out.write(b"classes,count,regime,failing_r,extension\n")
     elif fmt == "table":
@@ -186,7 +188,8 @@ def write(spec: SweepSpec, fmt: str, out: BinaryIO, err: TextIO) -> None:
     else:
         text = " ".join(f"{k}={v}" for k, v in fields) + "\n"
         if fmt == "csv":
-            err.write("summary: " + text)
+            with suppress(BrokenPipeError):
+                err.write("summary: " + text)
         else:
             out.write(text.encode())
     out.flush()
@@ -357,7 +360,7 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     polynomials of degree at most D = order // i in the next slower class
     c_i.  So a stretch of runs, which opens at c_j's first value and steps
     through c_i until c_i wraps or the range ends, takes its first D + 1
-    heads' differences from the power sums (``_differences``), and the
+    heads' differences from ``kernels.numerators`` (``_differences``), the
     rest by the same two steps again: their forward differences along c_i
     (``_forward``), extended (``_extend``).  A run that opens part way
     through c_j is a stretch of its own.  Each stretch decodes its first
@@ -376,7 +379,6 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     # B_2 = C(c_1, 2) - c_2 is an integer whatever the classes: r runs from 3
     orders = range(3, order + 1)
     m = len(orders)
-    rows = [kernels.stirling_row(r) for r in orders]
     width = min(radices[j], order // (j + 1) + 1)  # differences per head
     # A_r's differences in a head's point-major list: every m-th from r - 3
     cuts = [slice(r - 3, r - 3 + m * min(width, r // (j + 1) + 1), m) for r in orders]
@@ -398,8 +400,8 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
         first = [lo + digit for (lo, _), digit in zip(bounds, digits)]
         heads = [[*first[:i], first[i] + k, *first[i + 1:]] for k in range(count)]
         diffs = [()] * count  # no B_r to test where m is 0
-        if m:  # D + 1 heads from the power sums, D = order // (i + 1), the others extended
-            diffs = [_differences(head, j, min(run, width), rows, order)
+        if m:  # D + 1 heads from kernels.numerators, D = order // (i + 1), the others extended
+            diffs = [_differences(head, j, min(run, width), orders)
                      for head, run in zip(heads[:order // (i + 1) + 1], runs)]
             if count > len(diffs):
                 diffs = list(zip(*(_extend(d, count) for d in zip(*_forward(diffs)))))
@@ -433,20 +435,10 @@ def classify(spec: SweepSpec, start: int, stop: int) -> Verdicts:
     return Verdicts(tuple(moving), keys.split(b"\n")[:-1], args, tuple(tally))
 
 
-def _differences(head: list, j: int, width: int, rows: list, order: int) -> list:
-    """Forward differences 0 to width - 1 along c_j at ``head`` of every A_r, point-major.
-
-    A_r = sum_k s(r,k) p_k for each row s(r, .) of ``rows``, from the
-    power sums p_1 to p_order of the classes with trailing zeros dropped,
-    since e_i = 0 past the degree gives the same p_k.
-    """
-    points = []
-    for t in range(width):
-        classes = [*head[:j], head[j] + t, *head[j + 1:]]
-        while classes and not classes[-1]:
-            classes.pop()
-        p = [0, *kernels.power_sums(classes, order)]
-        points.append([sum(map(operator.mul, row, p)) for row in rows])
+def _differences(head: list, j: int, width: int, orders: range) -> list:
+    """Forward differences 0 to width - 1 along c_j at ``head`` of ``kernels.numerators``, point-major."""
+    points = [kernels.numerators([*head[:j], head[j] + t, *head[j + 1:]], orders)
+              for t in range(width)]
     return list(itertools.chain.from_iterable(_forward(points)))
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -544,6 +545,69 @@ cli.run()
         assert proc.returncode == 74, proc.stderr
         errors = [line for line in proc.stderr.splitlines() if not line.startswith("sweep:")]
         assert errors == [f"error: {os.strerror(errno.ENOSPC)}"]
+
+    @staticmethod
+    def run_with_stderr_gone(argv):
+        """``cli.run`` on argv, its stderr a pipe whose reader has closed, as CHILDLESS_EXIT runs it."""
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            return subprocess.run([sys.executable, "-c", TestExitPath.CHILDLESS_EXIT, *argv],
+                                  stdout=subprocess.PIPE, stderr=writer, env=child_env(),
+                                  timeout=120)
+        finally:
+            os.close(writer)
+
+    @pytest.mark.skipif(not hasattr(os, "pipe"), reason="no pipes")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_with_stderr_gone_writes_every_record(self, fmt):
+        # 6561 tuples in 7 chunks over 2 lanes; the sweep: line, and csv's
+        # summary: line, find no reader, and the records are all written
+        argv = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--format", fmt,
+                "--jobs", "2"]
+        proc = self.run_with_stderr_gone(argv)
+        code, out, _ = run_main(argv)
+        assert (proc.returncode, code) == (0, 0)
+        assert proc.stdout == out
+
+    @pytest.mark.skipif(not hasattr(os, "pipe"), reason="no pipes")
+    @pytest.mark.parametrize("argv", [
+        ["check", "--classes", "x"],
+        ["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:2"],
+    ], ids=["check", "sweep"])
+    def test_usage_error_with_stderr_gone_exits_two(self, argv):
+        proc = self.run_with_stderr_gone(argv)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_killed_lane_with_stderr_gone_exits_one(self, monkeypatch, capsys):
+        # as test_cli_reports_a_killed_lane, with a stderr whose every write fails
+        class GoneStderr(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        parent, render, fork, forked = os.getpid(), sweep.render_chunk, os.fork, []
+
+        def spy():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        def render_then_kill_lanes(*task):
+            chunk = render(*task)
+            if os.getpid() == parent:
+                for lane in forked:
+                    os.kill(lane, signal.SIGKILL)
+            return chunk
+
+        monkeypatch.setattr(os, "fork", spy)
+        monkeypatch.setattr(sweep, "render_chunk", render_then_kill_lanes)
+        monkeypatch.setattr(sys, "stderr", GoneStderr())
+        code = cli.main(["sweep", "--rank", "2", "--dim", "3", "--bounds=-100:100,-100:100",
+                         "--format", "json", "--jobs", "2"])
+        assert code == 1
+        assert forked and capsys.readouterr().err == ""
+        with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     DISAGREE = """
 from bundle_census import cli, oracle

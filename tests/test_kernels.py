@@ -23,7 +23,7 @@ from oracles import (
 def test_library_calls_the_reference_kernels():
     # the cases below exercise _kernels_py; this pins that the library
     # runs the very same functions
-    for name in ("schwarz_terms", "binomial_sum_num_den", "power_sums", "stirling_row", "stirling_first"):
+    for name in ("schwarz_terms", "binomial_sum_num_den", "numerators", "stirling_first"):
         assert getattr(kernels, name) is getattr(kpy, name), name
     assert kernels.backend_name() == "python"
 
@@ -98,10 +98,12 @@ class TestPowerSums:
     @given(
         roots=st.lists(st.integers(-20, 20), min_size=1, max_size=10),
         extra=st.integers(0, 4),
+        zeros=st.integers(0, 3),
     )
     @settings(max_examples=200)
-    def test_matches_direct_powering(self, roots, extra):
-        coeffs = elem_sym_brute(roots)
+    def test_matches_direct_powering(self, roots, extra, zeros):
+        # trailing zero classes are roots at 0, which add nothing to any p_k
+        coeffs = (*elem_sym_brute(roots), *[0] * zeros)
         R = len(roots) + extra
         got = kpy.power_sums(coeffs, R)
         assert got == [power_sum_brute(roots, k) for k in range(1, R + 1)]
@@ -136,6 +138,7 @@ class TestBinomialSum:
         want = binom_sum_brute(roots, r)
         assert den == want.denominator == 1
         assert num == want
+        assert kpy.numerators(elem_sym_brute(roots), range(1, r + 1))[-1] == math.factorial(r) * want
 
 
 class TestSchwarzTerms:
@@ -196,9 +199,9 @@ def assert_sweep_matches(rows, reference, length=4):
 class TestBatchKernel:
     """The sweep's walk, its one bulk path, against the reference kernel.
 
-    The rows at the int64 certificate's edge are where a fixed-width kernel
-    would come closest to overflowing; the walk runs them on Python ints
-    like every other row.
+    The rows at the certificate's 2^62 edge (``certified_edge``) are the
+    largest whose every value the certificate keeps below 2^62; the walk
+    runs them on Python ints like every other row.
     """
 
     def test_certificate_is_the_stated_bound(self):
@@ -314,7 +317,7 @@ class TestCompanionReference:
 
 
 class TestChunkPath:
-    """Chunks at the int64 certificate's edge for S_3, on the walk like every other."""
+    """Chunks at the certificate's 2^62 edge for S_3, on the walk like every other."""
 
     def test_just_above_the_edge_matches_reference(self):
         # rank 2 on CP^3 tests S_3 on (c1, c2, 0); one class past the edge

@@ -104,7 +104,7 @@ BOXES = {
     "straddles_negative": (2, 3, ((-EDGE3 - 1, -EDGE3 + 1), (-90, 90))),
     "big_line_bundle": (1, 2, ((BIG - 300, BIG + 300),)),
     "big_negative_line_bundle": (1, 2, ((-BIG - 3, -BIG + 3),)),
-    # ends either side of the int64 decoding limit
+    # ends either side of 2^62
     "line_bundle_at_2_62": (1, 2, ((2**62 - 3, 2**62 + 3),)),
     "line_bundle_at_minus_2_62": (1, 2, ((-(2**62) - 3, -(2**62) + 3),)),
     "big_classes": (2, 3, ((BIG - 4, BIG + 4), (-(2**70), -(2**70) + 5))),
@@ -442,13 +442,12 @@ def decode(index, bounds):
 
 @pytest.mark.parametrize("fmt", sweep.FORMATS)
 @pytest.mark.parametrize("bounds", [
-    # an end past int64
     ((2**63, 2**63 + 4), (-5, 5)),
     # the widest interval a box admits, its radix 2^62: small classes at the
     # start, classes near 2^62 at the end
     ((0, 0), (-5, 2**62 - 6)),
-], ids=["bounds0-kernel_dtypes0", "bounds1-kernel_dtypes1"])  # as the suite has always reported them
-def test_ranges_at_the_int64_decoding_limit(bounds, fmt):
+], ids=["end_past_2_63", "radix_2_62"])
+def test_first_and_last_ranges_of_boxes_with_huge_ends(bounds, fmt):
     spec = SweepSpec(2, 3, bounds)
     total = spec.tuple_count()
     assert total <= sweep.INDEX_LIMIT
