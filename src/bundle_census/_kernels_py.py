@@ -14,6 +14,7 @@ triangle, which only ever grows.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial, gcd
 from operator import mul
 from typing import Sequence
@@ -81,11 +82,11 @@ def power_sums(coeffs: Sequence[int], R: int) -> list[int]:
 def numerators(coeffs: Sequence[int], orders: range) -> list[int]:
     """Unreduced A_r = r! B_r = sum_k s(r,k) p_k for each r >= 1 of ``orders``.
 
-    One ``power_sums`` call, then a dot product per Stirling row, p_0 read
-    as 0 against s(r,0) = 0.
+    One ``power_sums`` call, then a dot product per Stirling row from k = 1,
+    s(r,0) being 0.
     """
-    p = [0, *power_sums(coeffs, max(orders, default=0))]
-    return [sum(map(mul, stirling_row(r), p)) for r in orders]
+    p = power_sums(coeffs, max(orders, default=0))
+    return [sum(map(mul, islice(stirling_row(r), 1, None), p)) for r in orders]
 
 
 def binomial_sum_num_den(coeffs: Sequence[int], r: int) -> tuple[int, int]:
@@ -116,5 +117,5 @@ def schwarz_terms(coeffs: Sequence[int], N: int) -> list[tuple[int, int, int]]:
 
 
 def _over_factorial(num: int, r: int) -> tuple[int, int]:
-    g = gcd(num, factorial(r))  # num / r! in lowest terms
-    return num // g, factorial(r) // g
+    g = gcd(num, den := factorial(r))  # num / r! in lowest terms
+    return num // g, den // g

@@ -269,9 +269,10 @@ class _Lane:
     """
 
     def __init__(self, target, *args):
-        # what the streams hold so far is written once, by this process
+        # what the streams hold so far is written once, by this process, or lost with its reader
         for stream in filter(None, (sys.stdout, sys.stderr)):
-            stream.flush()
+            with suppress(BrokenPipeError):
+                stream.flush()
         self.exitcode = None
         reader, writer = os.pipe()
         try:

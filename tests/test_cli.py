@@ -547,36 +547,42 @@ cli.run()
         assert errors == [f"error: {os.strerror(errno.ENOSPC)}"]
 
     @staticmethod
-    def run_with_stderr_gone(argv):
-        """``cli.run`` on argv, its stderr a pipe whose reader has closed, as CHILDLESS_EXIT runs it."""
+    def run_with_stderr_gone(argv, unbuffered):
+        """``cli.run`` on argv, its stderr a pipe whose reader has closed, as CHILDLESS_EXIT runs it.
+
+        Line-buffered, as Python makes stderr by default, a failed note stays
+        buffered and fails every later flush; with PYTHONUNBUFFERED it does not.
+        """
         reader, writer = os.pipe()
         os.close(reader)
         try:
             return subprocess.run([sys.executable, "-c", TestExitPath.CHILDLESS_EXIT, *argv],
-                                  stdout=subprocess.PIPE, stderr=writer, env=child_env(),
-                                  timeout=120)
+                                  stdout=subprocess.PIPE, stderr=writer,
+                                  env=child_env({"PYTHONUNBUFFERED": unbuffered}), timeout=120)
         finally:
             os.close(writer)
 
     @pytest.mark.skipif(not hasattr(os, "pipe"), reason="no pipes")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_sweep_with_stderr_gone_writes_every_record(self, fmt):
+    def test_sweep_with_stderr_gone_writes_every_record(self, fmt, unbuffered):
         # 6561 tuples in 7 chunks over 2 lanes; the sweep: line, and csv's
         # summary: line, find no reader, and the records are all written
         argv = ["sweep", "--rank", "2", "--dim", "3", "--bounds=-40:40,-40:40", "--format", fmt,
                 "--jobs", "2"]
-        proc = self.run_with_stderr_gone(argv)
+        proc = self.run_with_stderr_gone(argv, unbuffered)
         code, out, _ = run_main(argv)
         assert (proc.returncode, code) == (0, 0)
         assert proc.stdout == out
 
     @pytest.mark.skipif(not hasattr(os, "pipe"), reason="no pipes")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [
         ["check", "--classes", "x"],
         ["sweep", "--rank", "2", "--dim", "3", "--bounds", "0:2"],
     ], ids=["check", "sweep"])
-    def test_usage_error_with_stderr_gone_exits_two(self, argv):
-        proc = self.run_with_stderr_gone(argv)
+    def test_usage_error_with_stderr_gone_exits_two(self, argv, unbuffered):
+        proc = self.run_with_stderr_gone(argv, unbuffered)
         assert (proc.returncode, proc.stdout) == (2, b"")
 
     def test_killed_lane_with_stderr_gone_exits_one(self, monkeypatch, capsys):
